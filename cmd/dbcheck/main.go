@@ -1,13 +1,13 @@
 // Command dbcheck opens a database (running restart recovery if needed)
 // and runs the full consistency check suite: codeword audit, heap
-// structure, index structure, checkpoint/log agreement, and the log
-// stream audit (CW050 stamped-GSN density, CW051 watermark inversions,
-// CW052 poisoned streams — the runtime counterparts of dbvet's
-// determinism, lockfield and errflow contracts). Exit status 0 means
-// consistent (warning-severity findings are printed but do not fail the
-// check); 1 means error-severity problems were found, including any of
-// the CW05x log findings; 2 means the check could not run. Problem
-// lines carry stable CW0xx codes for machine consumption.
+// structure, index structure, checkpoint/log agreement, and the system
+// log audit (CW051 stable end beyond tail end, CW052 poisoned log — the
+// runtime counterparts of dbvet's lockfield and errflow contracts). Exit
+// status 0 means consistent (warning-severity findings are printed but do
+// not fail the check); 1 means error-severity problems were found,
+// including any of the CW05x log findings; 2 means the check could not
+// run, which includes a directory in the unsupported multi-stream log
+// layout. Problem lines carry stable CW0xx codes for machine consumption.
 //
 // With -heal the ECC sweep repairs what it can in place: located
 // single-word damage is reconstructed (CW061, warning) and stale locator

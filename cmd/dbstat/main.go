@@ -102,6 +102,9 @@ func main() {
 
 // printOffline reports what the directory says without opening it.
 func printOffline(dir string) error {
+	if err := wal.CheckSingleLog(iofault.OS, dir); err != nil {
+		return err
+	}
 	loaded, err := ckpt.Load(dir)
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
@@ -117,43 +120,19 @@ func printOffline(dir string) error {
 		fmt.Printf("%s:\n", dir)
 		fmt.Printf("  checkpoint:   image %s, seqno %d\n", img, a.SeqNo)
 		fmt.Printf("  CK_end:       %d\n", a.CKEnd)
-		if vec := a.Vector(); len(vec) > 1 {
-			fmt.Printf("  CK_ends:      %v (per stream)\n", vec)
-		}
 		fmt.Printf("  Audit_SN:     %d\n", a.AuditSN)
 		fmt.Printf("  image size:   %d bytes\n", len(loaded.Image))
 		fmt.Printf("  ATT entries:  %d\n", len(loaded.ATTEntries))
 	}
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, dir)
-	if err != nil {
-		return err
-	}
-	switch {
-	case nStreams == 0:
-		fmt.Printf("  log:          none\n")
-	case nStreams == 1:
-		st, err := os.Stat(filepath.Join(dir, wal.LogFileName))
-		if err != nil {
-			return err
-		}
-		base, err := wal.LogBase(dir)
-		if err != nil {
-			return err
+	logPath := filepath.Join(dir, wal.LogFileName)
+	if st, err := os.Stat(logPath); err == nil {
+		base, berr := wal.LogBase(dir)
+		if berr != nil {
+			return berr
 		}
 		fmt.Printf("  log:          %d bytes on disk, base LSN %d\n", st.Size(), base)
-	default:
-		bases, err := wal.LogBasesFS(iofault.OS, dir)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("  log:          %d streams\n", nStreams)
-		for i := 0; i < nStreams; i++ {
-			st, err := os.Stat(filepath.Join(dir, wal.StreamFileName(i)))
-			if err != nil {
-				return err
-			}
-			fmt.Printf("    stream %-3d  %d bytes on disk, base LSN %d\n", i, st.Size(), bases[i])
-		}
+	} else {
+		fmt.Printf("  log:          none\n")
 	}
 	return nil
 }

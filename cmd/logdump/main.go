@@ -3,15 +3,9 @@
 // where present. Useful for inspecting read-log volume, verifying
 // operation bracketing, and debugging recovery scenarios.
 //
-// Multi-stream log sets (core.Config.LogStreams > 1) are detected
-// automatically: all stream files are scanned and merged into global GSN
-// order, and each line is prefixed with its stream index and GSN. With
-// -stream only that stream's file is dumped, in its local LSN order.
-// Single-stream directories keep the historical single-file output.
-//
 // Usage:
 //
-//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX] [-stream S]
+//	logdump -dir DBDIR [-from LSN] [-kinds read,phys-redo] [-txn ID] [-n MAX]
 package main
 
 import (
@@ -20,18 +14,16 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/iofault"
 	"repro/internal/wal"
 )
 
 func main() {
 	dir := flag.String("dir", "", "database directory (required)")
-	from := flag.Uint64("from", 0, "scan from this LSN (multi-stream: applied per stream)")
+	from := flag.Uint64("from", 0, "scan from this LSN")
 	kindsFlag := flag.String("kinds", "", "comma-separated kind filter (e.g. read,phys-redo)")
 	txnFlag := flag.Uint64("txn", 0, "show only this transaction (0 = all)")
 	max := flag.Int("n", 0, "stop after N records (0 = all)")
 	stats := flag.Bool("stats", false, "print per-kind record counts and byte totals at the end")
-	stream := flag.Int("stream", -1, "dump only this stream of a multi-stream set (-1 = merge all)")
 	flag.Parse()
 
 	if *dir == "" {
@@ -46,20 +38,14 @@ func main() {
 		}
 	}
 
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, *dir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "logdump:", err)
-		os.Exit(1)
+	start := wal.LSN(*from)
+	if base, err := wal.LogBase(*dir); err == nil && start < base {
+		start = base
 	}
-	if *stream >= nStreams {
-		fmt.Fprintf(os.Stderr, "logdump: -stream %d out of range (log set has %d stream(s))\n", *stream, nStreams)
-		os.Exit(2)
-	}
-
 	counts := map[wal.Kind]int{}
 	bytes := map[wal.Kind]int{}
 	printed := 0
-	visit := func(prefix string, r *wal.Record) bool {
+	err := wal.Scan(*dir, start, func(r *wal.Record) bool {
 		counts[r.Kind]++
 		bytes[r.Kind] += r.EncodedSize()
 		if len(wantKind) > 0 && !wantKind[r.Kind.String()] {
@@ -68,40 +54,10 @@ func main() {
 		if *txnFlag != 0 && uint64(r.Txn) != *txnFlag {
 			return true
 		}
-		fmt.Println(prefix + format(r))
+		fmt.Println(format(r))
 		printed++
 		return *max == 0 || printed < *max
-	}
-
-	switch {
-	case nStreams <= 1 && *stream <= 0:
-		// Historical single-file layout (or explicit -stream 0 of one):
-		// scan system.log in place, no prefix.
-		start := wal.LSN(*from)
-		if base, err := wal.LogBase(*dir); err == nil && start < base {
-			start = base
-		}
-		err = wal.Scan(*dir, start, func(r *wal.Record) bool {
-			return visit("", r)
-		})
-	case *stream >= 0:
-		// One stream of a multi-stream set, in its local LSN order.
-		err = scanOneStream(*dir, *stream, wal.LSN(*from), func(r *wal.Record) bool {
-			return visit(fmt.Sprintf("s%-2d ", *stream), r)
-		})
-	default:
-		// Merge every stream into global GSN order. A non-zero -from is a
-		// per-stream floor: each stream's LSN domain is independent.
-		var merged []wal.StreamRecord
-		merged, err = wal.ScanStreamsFS(iofault.OS, *dir, startVector(*dir, nStreams, wal.LSN(*from)))
-		if err == nil {
-			for _, sr := range merged {
-				if !visit(fmt.Sprintf("s%-2d g%-10d ", sr.Stream, sr.R.GSN), sr.R) {
-					break
-				}
-			}
-		}
-	}
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "logdump:", err)
 		os.Exit(1)
@@ -116,39 +72,6 @@ func main() {
 		}
 		fmt.Printf("%-12s %8d records %10d bytes\n", "total", total, totalBytes)
 	}
-}
-
-// startVector clamps a user-supplied -from below every stream's retained
-// base. A zero from returns nil, letting the scan use each base directly.
-func startVector(dir string, n int, from wal.LSN) []wal.LSN {
-	if from == 0 {
-		return nil
-	}
-	bases, err := wal.LogBasesFS(iofault.OS, dir)
-	if err != nil {
-		return nil
-	}
-	starts := make([]wal.LSN, n)
-	for i := range starts {
-		starts[i] = from
-		if i < len(bases) && starts[i] < bases[i] {
-			starts[i] = bases[i]
-		}
-	}
-	return starts
-}
-
-// scanOneStream scans a single stream file of a multi-stream set from
-// max(from, base) in local LSN order.
-func scanOneStream(dir string, stream int, from wal.LSN, fn func(*wal.Record) bool) error {
-	bases, err := wal.LogBasesFS(iofault.OS, dir)
-	if err != nil {
-		return err
-	}
-	if stream < len(bases) && from < bases[stream] {
-		from = bases[stream]
-	}
-	return wal.ScanStreamFS(iofault.OS, dir, stream, from, fn)
 }
 
 func format(r *wal.Record) string {

@@ -7,10 +7,6 @@
 // The database must have run with a read-logging scheme for reads to be
 // traceable; writes are always in the log.
 //
-// Multi-stream log sets are detected automatically: every stream is
-// scanned and merged into global GSN order before taint propagation, so
-// -from and -seedat are then global (GSN-domain) positions.
-//
 // Usage:
 //
 //	logtrace -dir DBDIR [-from LSN] [-range START:LEN]... [-txn ID]... [-seedat LSN]

@@ -7,24 +7,15 @@
 // observation that explains why page-granularity protection is expensive
 // for a non-page-based main-memory system).
 //
-// With -log-streams it instead runs the parallel-logging sweep: the
-// concurrent TPC-B workload at a fixed client count across WAL stream
-// counts (group-commit scaling), plus — with -recovery-txns — a
-// serial-vs-parallel restart-recovery sweep over one redo-heavy crashed
-// database. That mode emits a JSON report (-o) instead of Table 2.
-//
 // Usage:
 //
 //	tpcbbench [-ops N] [-runs N] [-scale paper|small] [-simprotect] [-workdir DIR]
-//	tpcbbench -log-streams 1,2,4,8 [-clients N] [-recovery-txns N] [-redo-workers 1,0] [-o BENCH.json]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/benchtab"
 	"repro/internal/heap"
@@ -39,12 +30,6 @@ func main() {
 	layout := flag.String("layout", "dali", "storage layout: dali (off-page allocation) or pagelocal")
 	workdir := flag.String("workdir", "", "directory for run databases (default: system temp)")
 	quiet := flag.Bool("q", false, "suppress per-run progress")
-	streamList := flag.String("log-streams", "", "run the parallel-logging sweep over these comma-separated WAL stream counts instead of Table 2")
-	clients := flag.Int("clients", 8, "concurrent clients for the -log-streams sweep")
-	commitEvery := flag.Int("commit-every", 10, "operations per transaction in the -log-streams sweep")
-	recTxns := flag.Int("recovery-txns", 0, "transactions in the crash-recovery sweep (0 = skip it)")
-	redoList := flag.String("redo-workers", "1,0", "comma-separated redo-worker counts for the recovery sweep (0 = GOMAXPROCS)")
-	outPath := flag.String("o", "", "write the -log-streams JSON report to this file (default stdout)")
 	flag.Parse()
 
 	var scale tpcb.Scale
@@ -68,25 +53,6 @@ func main() {
 	default:
 		fmt.Fprintf(os.Stderr, "tpcbbench: unknown layout %q\n", *layout)
 		os.Exit(2)
-	}
-
-	if *streamList != "" {
-		streams, err := parseIntList(*streamList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tpcbbench: -log-streams:", err)
-			os.Exit(2)
-		}
-		redoWorkers, err := parseIntList(*redoList)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tpcbbench: -redo-workers:", err)
-			os.Exit(2)
-		}
-		if err := runStreamSweep(scale, streams, *clients, *ops, *commitEvery,
-			redoWorkers, *recTxns, *workdir, *outPath); err != nil {
-			fmt.Fprintln(os.Stderr, "tpcbbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	params := benchtab.Table2Params{
@@ -113,17 +79,4 @@ func main() {
 	fmt.Println("including off-page allocation and control information updates).")
 	fmt.Printf("\nEngine internals per scheme (obs snapshot of each last run):\n\n")
 	fmt.Print(benchtab.FormatObsSummary(rows))
-}
-
-// parseIntList parses a comma-separated list of non-negative integers.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 0 {
-			return nil, fmt.Errorf("bad value %q", part)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

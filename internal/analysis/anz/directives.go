@@ -33,13 +33,6 @@ const (
 	LatchProtection = "protection"
 	LatchCodeword   = "codeword"
 	LatchSyslog     = "syslog"
-	// LatchStream is the per-stream log-tail latch of a sharded log set.
-	// It ranks with the syslog class for the cross-class order, but adds
-	// its own exclusion: streams are latched independently and flushed by
-	// concurrent workers, so no path may hold two stream latches at once
-	// (any-stream-before-none — the second acquisition could deadlock
-	// against a sibling worker holding the pair in the other order).
-	LatchStream = "stream"
 )
 
 // LatchRank maps a latch class to its position in the partial order
@@ -50,7 +43,7 @@ func LatchRank(class string) int {
 		return 1
 	case LatchCodeword:
 		return 2
-	case LatchSyslog, LatchStream:
+	case LatchSyslog:
 		return 3
 	}
 	return 0

@@ -297,10 +297,9 @@ func fieldSyncCall(pass *anz.Pass, a *ast.AssignStmt) *ast.CallExpr {
 // isFieldSync recognizes x.f.Sync() where f is a struct field of type
 // iofault.File (or a fixture stand-in named File): the long-lived durable
 // handle, as opposed to a local temporary being built and certified. The
-// per-stream variant x.files[i].Sync() — a field of slice or array of
-// File, indexed — is the same obligation: in a sharded log set each
-// stream file is an independent durable handle, and a failed force of any
-// one of them must fail-stop the whole set.
+// indexed variant x.files[i].Sync() — a field of slice or array of File —
+// is the same obligation: each element is a long-lived durable handle,
+// and a failed force of any one of them must fail-stop its owner.
 func isFieldSync(pass *anz.Pass, call *ast.CallExpr) bool {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != "Sync" {

@@ -3,8 +3,8 @@
 // and reports the access sites that break the inferred discipline.
 //
 // The paper's protection scheme hangs its correctness on hand-written
-// comments of the form "guarded by mu": the per-stream tail latch guards
-// the stamped/durable GSN watermarks, the router's decision mutex guards
+// comments of the form "guarded by mu": the system log latch guards the
+// tail and the stable end, the router's decision mutex guards
 // the in-doubt decision maps, the checkpoint set's mutex guards the
 // dirty map. dbvet's latchorder pass checks how latches nest but not
 // *what they protect*; this pass closes that gap with a lockset
@@ -319,7 +319,7 @@ func (c *checker) scanExpr(e ast.Expr, held []heldLock, seen map[ast.Expr]bool) 
 					held = removeHeld(held, hl)
 				}
 				// Still descend: the receiver expression may itself
-				// read tracked fields (s.streams[i].mu.Lock()).
+				// read tracked fields (s.parts[i].mu.Lock()).
 			}
 		case *ast.SelectorExpr:
 			if seen == nil || !seen[n] {

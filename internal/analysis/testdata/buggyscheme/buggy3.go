@@ -1,35 +1,18 @@
-// buggy3.go carries the third generation of differential violations —
-// the parallel-log-set rules, one per pass, each firing exactly once.
-// Kept in a separate file so the earlier generations' pinned line
-// numbers in buggy.go and buggy2.go never shift. File is the testdata
-// stand-in the errflow pass recognizes by name.
+// buggy3.go carries the third generation of differential violations: the
+// indexed durable-handle rule, firing exactly once. Kept in a separate
+// file so the earlier generations' pinned line numbers in buggy.go and
+// buggy2.go never shift. File is the testdata stand-in the errflow pass
+// recognizes by name.
 package buggyscheme
 
-import "repro/internal/latch"
-
-type streamTail struct {
-	mu latch.Latch //dbvet:latch stream
+type fileSet struct {
+	files []File
 }
 
-type logSet struct {
-	streams []streamTail
-	files   []File
-}
-
-// Violation 9 (latchorder, any-stream-before-none): holds two stream
-// latches at once — a sibling flusher holding the pair in the other
-// order deadlocks.
-func (l *logSet) nestStreams() {
-	l.streams[0].mu.Lock()
-	defer l.streams[0].mu.Unlock()
-	l.streams[1].mu.Lock()
-	defer l.streams[1].mu.Unlock()
-}
-
-// Violation 10 (errflow, per-stream poison): a failed force of one
-// stream file is returned without fail-stopping the set, so sibling
-// streams keep acknowledging commits over the hole.
-func (l *logSet) forceStream(i int) error {
+// Violation 10 (errflow, indexed durable handle): a failed force of one
+// file of the set is returned without fail-stopping the set, so the
+// other files keep acknowledging commits over the hole.
+func (l *fileSet) forceFile(i int) error {
 	if err := l.files[i].Sync(); err != nil {
 		return err
 	}

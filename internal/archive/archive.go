@@ -34,26 +34,12 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Info describes an archive file.
 type Info struct {
-	// CKEnd is the log position the image is update-consistent with
-	// (stream 0 on multi-stream logs).
+	// CKEnd is the log position the image is update-consistent with.
 	CKEnd wal.LSN
 	// ImageSize is the database image size in bytes.
 	ImageSize int
 	// AuditSN is the Audit_SN at archive time.
 	AuditSN wal.LSN
-	// CKEnds is the per-stream consistency vector on multi-stream logs
-	// (entry 0 equals CKEnd); empty for single-stream archives, whose
-	// on-disk format is unchanged from before log streams existed.
-	CKEnds []wal.LSN
-}
-
-// Vector returns the per-stream consistency vector, synthesizing the
-// single-entry vector for single-stream archives.
-func (i Info) Vector() []wal.LSN {
-	if len(i.CKEnds) > 0 {
-		return i.CKEnds
-	}
-	return []wal.LSN{i.CKEnd}
 }
 
 // Write takes a consistent, audited archive of db into path. Like a
@@ -63,17 +49,15 @@ func (i Info) Vector() []wal.LSN {
 // anchor. Returns the archive's Info.
 func Write(db *core.DB, path string) (Info, error) {
 	var (
-		image  []byte
-		meta   []byte
-		ckEnds []wal.LSN
+		image []byte
+		meta  []byte
+		ckEnd wal.LSN
 	)
 	err := db.ExclusiveBarrier(func() error {
 		if err := db.Internals().Log.Flush(); err != nil {
 			return err
 		}
-		// With every stream flushed under the barrier this vector is a
-		// consistent cut, exactly like a checkpoint's.
-		ckEnds = db.Internals().Log.StableEnds()
+		ckEnd = db.Internals().Log.StableEnd()
 		if n := db.Internals().ATT.Len(); n != 0 {
 			return fmt.Errorf("archive: %d transactions active; archives require quiescence", n)
 		}
@@ -88,10 +72,7 @@ func Write(db *core.DB, path string) (Info, error) {
 	if err := db.Audit(); err != nil {
 		return Info{}, fmt.Errorf("archive: certification audit failed: %w", err)
 	}
-	info := Info{CKEnd: ckEnds[0], ImageSize: len(image), AuditSN: db.LastCleanAuditLSN()}
-	if len(ckEnds) > 1 {
-		info.CKEnds = ckEnds
-	}
+	info := Info{CKEnd: ckEnd, ImageSize: len(image), AuditSN: db.LastCleanAuditLSN()}
 
 	var b []byte
 	b = append(b, magic...)
@@ -101,14 +82,6 @@ func Write(db *core.DB, path string) (Info, error) {
 	b = append(b, meta...)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(image)))
 	b = append(b, image...)
-	// Multi-stream archives append the stream vector after the image;
-	// single-stream archives end here, byte-identical to the old format.
-	if len(info.CKEnds) > 1 {
-		b = binary.LittleEndian.AppendUint64(b, uint64(len(info.CKEnds)))
-		for _, e := range info.CKEnds {
-			b = binary.LittleEndian.AppendUint64(b, uint64(e))
-		}
-	}
 	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b, crcTable))
 
 	// Install durably through the database's filesystem: fsynced temp file,
@@ -168,26 +141,12 @@ func ReadFS(fsys iofault.FS, path string) (Info, []byte, []byte, error) {
 	}
 	image := append([]byte(nil), body[pos:pos+imgLen]...)
 	pos += imgLen
-	info := Info{CKEnd: ckEnd, ImageSize: imgLen, AuditSN: auditSN}
-	if pos < len(body) {
-		// Trailing stream vector (multi-stream archives only).
-		if len(body)-pos < 8 {
-			return Info{}, nil, nil, fmt.Errorf("archive: truncated stream vector")
-		}
-		n := int(binary.LittleEndian.Uint64(body[pos:]))
-		pos += 8
-		if n < 2 || len(body)-pos != 8*n {
-			return Info{}, nil, nil, fmt.Errorf("archive: bad stream vector")
-		}
-		info.CKEnds = make([]wal.LSN, n)
-		for i := range info.CKEnds {
-			info.CKEnds[i] = wal.LSN(binary.LittleEndian.Uint64(body[pos:]))
-			pos += 8
-		}
-		if info.CKEnds[0] != ckEnd {
-			return Info{}, nil, nil, fmt.Errorf("archive: stream vector disagrees with ck_end")
-		}
+	if pos != len(body) {
+		// Bytes after the image are the multi-stream layout's per-stream
+		// log position vector.
+		return Info{}, nil, nil, fmt.Errorf("archive: %s carries a log stream vector: %w", path, wal.ErrMultiStreamLog)
 	}
+	info := Info{CKEnd: ckEnd, ImageSize: imgLen, AuditSN: auditSN}
 	return info, image, meta, nil
 }
 
@@ -206,25 +165,20 @@ func Recover(cfg core.Config, archivePath string) (*core.DB, *recovery.Report, e
 	if err != nil {
 		return nil, nil, err
 	}
-	bases, err := wal.LogBasesFS(cfg.FS, cfg.Dir)
+	base, err := wal.LogBaseFS(cfg.FS, cfg.Dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	vec := info.Vector()
-	for i, base := range bases {
-		// Streams beyond the archive's vector replay from their own base.
-		if i < len(vec) && base > vec[i] {
-			return nil, nil, fmt.Errorf(
-				"archive: stream %d log compacted to %d, archive needs replay from %d; retain the log (DisableLogCompaction) on archived databases",
-				i, base, vec[i])
-		}
+	if base > info.CKEnd {
+		return nil, nil, fmt.Errorf(
+			"archive: log compacted to %d, archive needs replay from %d; retain the log (DisableLogCompaction) on archived databases",
+			base, info.CKEnd)
 	}
 	return recovery.OpenFromImage(cfg, recovery.ImageState{
 		Image:   image,
 		Meta:    meta,
 		CKEnd:   info.CKEnd,
 		AuditSN: info.AuditSN,
-		CKEnds:  info.CKEnds,
 	}, recovery.Options{})
 }
 

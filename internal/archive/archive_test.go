@@ -70,8 +70,7 @@ func TestArchiveWriteReadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.CKEnd != info.CKEnd || got.ImageSize != info.ImageSize || got.AuditSN != info.AuditSN ||
-		len(got.CKEnds) != len(info.CKEnds) {
+	if got != info {
 		t.Fatalf("info roundtrip: %+v != %+v", got, info)
 	}
 	if !bytes.Equal(image, db.Internals().Arena.Bytes()) {

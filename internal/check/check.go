@@ -3,9 +3,8 @@
 // codeword audits (which verify bytes against codewords but know nothing
 // of structure). It verifies the heap catalog against allocation bitmaps,
 // hash indexes against the heap records they point to, the checkpoint
-// anchor against the retained log, the log streams' watermark and
-// poison state plus the density of the merged stamped-GSN sequence, and
-// the codeword audit itself.
+// anchor against the retained log, the system log's stable end and
+// poison state, and the codeword audit itself.
 package check
 
 import (
@@ -43,13 +42,13 @@ func (s Severity) String() string {
 // human-readable Desc text may be reworded freely. Codes are grouped by
 // area (CW00x att, CW01x codeword, CW02x heap, CW03x index, CW04x
 // checkpoint, CW05x log, CW06x ecc) and are never renumbered or reused.
+// CW050 is retired: it reported holes in the global sequence of the
+// multi-stream log layout, which no longer exists.
 //
-// The CW05x codes are the runtime counterparts of dbvet's parallel-log
-// contracts: CW050 audits what the determinism pass assumes (a dense
-// stamped-GSN order for the merged replay), CW051 what the lockfield
-// pass guards (watermarks that only move under their tail latch move
-// monotonically), CW052 the poison transition the errflow pass forces
-// failed syncs through.
+// The CW05x codes are runtime counterparts of dbvet's log contracts:
+// CW051 checks what the lockfield pass guards (log positions that only
+// move under the system log latch stay ordered), CW052 the poison
+// transition the errflow pass forces failed syncs through.
 const (
 	CodeActiveTxns       = "CW001" // transactions active while checking
 	CodeCodewordMismatch = "CW010" // region codeword does not match data
@@ -62,9 +61,8 @@ const (
 	CodeCkptAnchorBase   = "CW040" // anchor precedes retained log base
 	CodeCkptAnchorEnd    = "CW041" // anchor beyond log end
 	CodeCkptImage        = "CW042" // checkpoint image unloadable
-	CodeLogGSNGap        = "CW050" // hole in the merged stamped-GSN sequence
-	CodeLogWatermark     = "CW051" // stream watermark inversion (durable > stamped or stable > end)
-	CodeLogPoisoned      = "CW052" // log stream fail-stopped (poisoned)
+	CodeLogWatermark     = "CW051" // log position inversion (stable end beyond tail end)
+	CodeLogPoisoned      = "CW052" // system log fail-stopped (poisoned)
 	CodeECCRepairable    = "CW060" // single-word damage located; repairable in place (run with heal)
 	CodeECCRepaired      = "CW061" // damage was repaired in place during this check
 	CodeECCUnrepairable  = "CW062" // damage past the correction radius; escalate to recovery
@@ -218,27 +216,14 @@ func RunOpts(db *core.DB, opts Options) ([]Problem, error) {
 		}
 	}
 
-	// Log streams: watermark sanity, poison state, and the density of
-	// the stamped-GSN sequence across the merged streams.
+	// System log: the stable end never passes the tail end, and a
+	// fail-stopped log is reported.
 	log := db.Internals().Log
-	for _, st := range log.StreamStats() {
-		stamped, durable := log.Stream(st.Stream).GSNWatermarks()
-		if durable > stamped {
-			add(CodeLogWatermark, SevError, "log", "stream %d: durable GSN %d above stamped GSN %d", st.Stream, durable, stamped)
-		}
-		if st.StableEnd > st.End {
-			add(CodeLogWatermark, SevError, "log", "stream %d: stable end %d beyond tail end %d", st.Stream, st.StableEnd, st.End)
-		}
-		if st.Poisoned {
-			add(CodeLogPoisoned, SevError, "log", "stream %d is poisoned (fail-stopped): %v", st.Stream, log.Stream(st.Stream).Poisoned())
-		}
+	if stable, end := log.StableEnd(), log.End(); stable > end {
+		add(CodeLogWatermark, SevError, "log", "stable end %d beyond tail end %d", stable, end)
 	}
-	if recs, err := wal.ScanStreamsFS(db.FS(), db.Config().Dir, nil); err == nil {
-		for _, g := range wal.FindGSNGaps(recs) {
-			add(CodeLogGSNGap, SevError, "log", "stamped-GSN hole after %d: next is %d on stream %d (a record below an acknowledged commit is missing)", g.After, g.Next, g.Stream)
-		}
-	} else {
-		add(CodeLogGSNGap, SevWarning, "log", "stream scan for GSN density failed: %v", err)
+	if err := log.Poisoned(); err != nil {
+		add(CodeLogPoisoned, SevError, "log", "system log is poisoned (fail-stopped): %v", err)
 	}
 
 	// Checkpoint anchor vs retained log.

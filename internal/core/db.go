@@ -56,14 +56,6 @@ type Config struct {
 	// computation. 0 defaults to GOMAXPROCS; 1 keeps every scan on the
 	// calling goroutine.
 	Workers int
-	// LogStreams shards the system log into this many independent stream
-	// files, each with its own latch, tail and group-commit queue, so
-	// commit fsyncs overlap across streams (GOMAXPROCS is a good setting
-	// for commit-heavy multicore workloads). 0 and 1 keep the single
-	// historical system.log with its exact on-disk format; a database is
-	// never reopened with fewer streams than it was written with (the
-	// on-disk count is a floor). Maximum 64.
-	LogStreams int
 	// FS routes the durability I/O (system log, checkpoint images and
 	// anchor, archives) through an iofault.FS. nil defaults to the real
 	// filesystem; storage-fault campaigns install an iofault.FaultFS here.
@@ -84,9 +76,6 @@ func (c Config) Normalized() (Config, error) {
 	}
 	if c.Workers == 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
-	}
-	if c.LogStreams == 0 {
-		c.LogStreams = 1
 	}
 	if c.FS == nil {
 		c.FS = iofault.OS
@@ -117,9 +106,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("core: config: Workers must not be negative, got %d", c.Workers)
-	}
-	if c.LogStreams < 0 || c.LogStreams > 64 {
-		return fmt.Errorf("core: config: LogStreams must be in [0, 64], got %d", c.LogStreams)
 	}
 	pc := c.Protect.Defaulted()
 	if schemeHasCodewords(pc.Kind) {
@@ -181,7 +167,7 @@ type DB struct {
 	cfg    Config
 	arena  *mem.Arena
 	scheme protect.Scheme
-	log    *wal.LogSet
+	log    *wal.SystemLog
 	att    *wal.ATT
 	locks  *lockmgr.Manager
 	ckpts  *ckpt.Set
@@ -250,11 +236,15 @@ type DB struct {
 
 // Open creates a fresh database in cfg.Dir. It refuses a directory that
 // already contains a checkpoint anchor: existing databases must be opened
-// through package recovery so restart recovery can run.
+// through package recovery so restart recovery can run. It also refuses,
+// before touching anything, a directory in the multi-stream log layout.
 func Open(cfg Config) (*DB, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, err
+	}
+	if err := wal.CheckSingleLog(cfg.FS, cfg.Dir); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("core: create dir: %w", err)
@@ -302,7 +292,7 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		arena.Close()
 		return nil, err
 	}
-	log, err := wal.OpenLogSetFS(cfg.FS, cfg.Dir, cfg.PageSize, cfg.LogStreams)
+	log, err := wal.OpenSystemLogFS(cfg.FS, cfg.Dir, cfg.PageSize)
 	if err != nil {
 		arena.Close()
 		return nil, err
@@ -421,7 +411,7 @@ func (db *DB) FS() iofault.FS { return db.cfg.FS }
 // deliberately); everything else here is read-mostly plumbing.
 type Internals struct {
 	Arena       *mem.Arena
-	Log         *wal.LogSet
+	Log         *wal.SystemLog
 	ATT         *wal.ATT
 	Locks       *lockmgr.Manager
 	Checkpoints *ckpt.Set
@@ -686,14 +676,10 @@ func (db *DB) Checkpoint() error {
 		}
 		db.notePhase("flush", db.hCkptFlushNS, phase)
 		phase = time.Now()
-		// The per-stream stable ends, captured under the exclusive barrier with
-		// every stream just forced, are the epoch barrier: a consistent cut of
-		// the log set that the checkpoint image is update-consistent with.
-		// CKEnds[0] doubles as the historical scalar CK_end.
-		ckEnds := db.log.StableEnds()
+		ckEnd := db.log.StableEnd()
 		attBytes := wal.EncodeEntries(db.att.Snapshot())
 		metaBytes := db.encodeMeta()
-		snap = db.ckpts.Begin(db.arena, attBytes, metaBytes, ckEnds)
+		snap = db.ckpts.Begin(db.arena, attBytes, metaBytes, ckEnd)
 		db.barrier.Unlock()
 		db.notePhase("snapshot", db.hCkptSnapNS, phase)
 
@@ -725,7 +711,7 @@ func (db *DB) Checkpoint() error {
 	// anchor's CK_end); compact them away so the log stays bounded.
 	if !db.cfg.DisableLogCompaction {
 		phase = time.Now()
-		if err := db.log.CompactVector(snap.CKEnds); err != nil {
+		if err := db.log.Compact(snap.CKEnd); err != nil {
 			return fmt.Errorf("core: log compaction: %w", err)
 		}
 		db.notePhase("compact", db.hCkptCompactNS, phase)

@@ -216,10 +216,7 @@ func (t *Txn) commitOp(level uint8, key wal.ObjectKey, undo wal.LogicalUndo, com
 	if compensation {
 		return t.entry.CommitCompensationOp()
 	}
-	// OrderLSN: on multi-stream log sets the GSN, not the stream-local
-	// LSN, totally orders operation commits across transactions — undo
-	// ordering in recovery and rollback depends on it.
-	return t.entry.CommitOp(level, key, undo, rec.OrderLSN())
+	return t.entry.CommitOp(level, key, undo, rec.LSN)
 }
 
 // AbortOp rolls back the current (uncommitted) lower-level operation in

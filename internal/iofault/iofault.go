@@ -61,8 +61,9 @@ type FS interface {
 	// ReadFile reads the whole (volatile) content of a file.
 	ReadFile(name string) ([]byte, error)
 	// Stat reports metadata for the (volatile) file at name without
-	// reading its content — existence probes over large files (log stream
-	// detection) must not cost a full-file read. A missing file yields an
+	// reading its content — existence probes over large files (the
+	// multi-stream log refusal, wal.CheckSingleLog) must not cost a
+	// full-file read. A missing file yields an
 	// error satisfying errors.Is(err, fs.ErrNotExist).
 	Stat(name string) (os.FileInfo, error)
 	// Rename atomically replaces newpath with oldpath.

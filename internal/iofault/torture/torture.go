@@ -39,10 +39,6 @@ type Config struct {
 	// transactions (0 = only the post-load checkpoint).
 	Txns            int
 	CheckpointEvery int
-	// LogStreams shards the WAL into this many independent streams
-	// (core.Config.LogStreams; 0/1 = the historical single system.log).
-	// Crash points then land in every stream file's writes and fsyncs.
-	LogStreams int
 	// RedoWorkers drives recovery's partitioned parallel redo-apply pass
 	// during Verify (recovery.Options.RedoWorkers; 0/1 = serial).
 	RedoWorkers int
@@ -55,11 +51,11 @@ type Config struct {
 // sync, not just log flushes).
 func DefaultConfig() Config {
 	return Config{
-		PageSize:  4096,
-		ArenaSize: 32 << 10,
-		Slots:     8,
-		RecSize:   64,
-		Txns:      12,
+		PageSize:        4096,
+		ArenaSize:       32 << 10,
+		Slots:           8,
+		RecSize:         64,
+		Txns:            12,
 		CheckpointEvery: 4,
 	}
 }
@@ -79,14 +75,13 @@ func SmokeConfig() Config {
 // torn-page fallback path depends on.
 func CoreConfig(dir string, fsys iofault.FS, c Config) core.Config {
 	return core.Config{
-		Dir:       dir,
-		ArenaSize: c.ArenaSize,
-		PageSize:  c.PageSize,
-		Protect:   protect.Config{Kind: protect.KindDataCW, RegionSize: 64},
-		Workers:   1,
-		LogStreams: c.LogStreams,
+		Dir:                  dir,
+		ArenaSize:            c.ArenaSize,
+		PageSize:             c.PageSize,
+		Protect:              protect.Config{Kind: protect.KindDataCW, RegionSize: 64},
+		Workers:              1,
 		DisableLogCompaction: true,
-		FS:        fsys,
+		FS:                   fsys,
 	}
 }
 

@@ -145,18 +145,6 @@ type CkptFallbackEvent struct {
 
 func (CkptFallbackEvent) EventName() string { return "ckpt.fallback" }
 
-// RecoveryGSNGapEvent is emitted once per hole recovery's merged scan
-// found in the stamped-GSN sequence of a multi-stream log: the GSNs
-// between After and Next were stamped but no surviving stream holds them,
-// so a record a surviving sibling-stream record may depend on was lost.
-type RecoveryGSNGapEvent struct {
-	After  uint64 // last GSN seen before the hole
-	Next   uint64 // first GSN after it
-	Stream int    // stream the Next record was read from
-}
-
-func (RecoveryGSNGapEvent) EventName() string { return "recovery.gsn_gap" }
-
 // LockWaitEvent is emitted when a transaction lock acquisition had to
 // wait (it is not emitted for immediate grants). TimedOut reports whether
 // the wait ended in ErrLockTimeout.

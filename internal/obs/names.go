@@ -44,7 +44,7 @@ const (
 	NameWALAppendBytes   = "wal.append_bytes"
 	NameWALFlushes       = "wal.flushes"
 	NameWALFlushErrors   = "wal.flush_errors"
-	NameWALPoisoned      = "wal.poisoned" // log fail-stopped after a write/fsync failure
+	NameWALPoisoned      = "wal.poisoned"             // log fail-stopped after a write/fsync failure
 	NameWALFsyncNS       = "wal.fsync_ns"             // histogram: write+sync duration
 	NameWALFlushBytes    = "wal.flush_bytes"          // histogram: bytes per flush
 	NameWALGroupCommit   = "wal.group_commit_records" // histogram: records per flush
@@ -52,18 +52,9 @@ const (
 	NameWALLatchWaitNS   = "wal.latch_wait_ns" // histogram: contended log-latch waits
 	NameWALLatchContends = "wal.latch_contended"
 
-	// internal/wal — multi-stream log sets (PR 8). Per-stream group-commit
-	// histograms are derived from NameWALGroupCommitStream by appending the
-	// stream index ("wal.group_commit_records.stream0", ...); the prefix is
-	// the closed-namespace member, the index suffix is dynamic.
-	NameWALStreams            = "wal.streams" // gauge: log streams in the set
-	NameWALGSN                = "wal.gsn"     // gauge: last global sequence number stamped
-	NameWALGroupCommitStream  = "wal.group_commit_records.stream"
-
-	// internal/recovery — parallel merge-redo (PR 8).
+	// internal/recovery — partitioned parallel redo.
 	NameRecoveryRedoWorkers = "recovery.redo_workers" // gauge: workers used by the partitioned redo pass
 	NameRecoveryParallelNS  = "recovery.parallel_ns"  // histogram: parallel redo apply wall time
-	NameRecoveryGSNGaps     = "recovery.gsn_gaps"     // holes found in the merged scan's stamped-GSN sequence
 
 	// internal/region — codeword table maintenance.
 	NameRegionFolds         = "region.folds"
@@ -86,7 +77,7 @@ const (
 	NamePrecheckRegions    = "protect.precheck_regions" // regions verified before reads
 	NamePrecheckFailures   = "protect.precheck_failures"
 	NamePrecheckHeals      = "protect.precheck_heals" // precheck failures repaired in place by ECC
-	NameCWCaptures         = "protect.cw_captures" // codewords captured into read log records
+	NameCWCaptures         = "protect.cw_captures"    // codewords captured into read log records
 	NameDeferredDrains     = "protect.deferred_drains"
 	NameHWExposes          = "protect.hw_exposes"    // mprotect: pages made writable
 	NameHWReprotects       = "protect.hw_reprotects" // mprotect: pages re-protected
@@ -105,21 +96,21 @@ const (
 	// internal/ckpt — checkpoint image writer.
 	NameCkptPagesWritten = "ckpt.pages_written"
 	NameCkptBytesWritten = "ckpt.bytes_written"
-	NameCkptDirtyClean   = "ckpt.dirty_skipped"   // pages skipped as clean by the dirty-page map
-	NameCkptDirSyncs     = "ckpt.dir_syncs"       // directory fsyncs after anchor installs
-	NameCkptFallbacks    = "ckpt.fallback_loads"  // recoveries that fell back to the other ping-pong image
+	NameCkptDirtyClean   = "ckpt.dirty_skipped"  // pages skipped as clean by the dirty-page map
+	NameCkptDirSyncs     = "ckpt.dir_syncs"      // directory fsyncs after anchor installs
+	NameCkptFallbacks    = "ckpt.fallback_loads" // recoveries that fell back to the other ping-pong image
 
 	// internal/shard — router-level transaction routing and 2PC. These
 	// live in the router's own registry; per-shard engine metrics stay in
 	// each shard's core.DB registry.
-	NameShardTxns            = "shard.txns"              // router transactions begun
-	NameShardFastpathCommits = "shard.fastpath_commits"  // single-shard commits (no 2PC)
-	NameShardCrossCommits    = "shard.cross_commits"     // cross-shard 2PC commits
-	NameShardCrossAborts     = "shard.cross_aborts"      // cross-shard transactions aborted (incl. failed prepares)
-	NameShardInDoubtCommits  = "shard.indoubt_commits"   // in-doubt txns resolved commit at open
-	NameShardInDoubtAborts   = "shard.indoubt_aborts"    // in-doubt txns resolved abort at open (presumed abort)
-	NameShard2PCCommitNS     = "shard.twopc_commit_ns"   // histogram: prepare→decision→commit latency
-	NameShardCrossTouched    = "shard.cross_shards"      // histogram: participants per cross-shard commit
+	NameShardTxns            = "shard.txns"             // router transactions begun
+	NameShardFastpathCommits = "shard.fastpath_commits" // single-shard commits (no 2PC)
+	NameShardCrossCommits    = "shard.cross_commits"    // cross-shard 2PC commits
+	NameShardCrossAborts     = "shard.cross_aborts"     // cross-shard transactions aborted (incl. failed prepares)
+	NameShardInDoubtCommits  = "shard.indoubt_commits"  // in-doubt txns resolved commit at open
+	NameShardInDoubtAborts   = "shard.indoubt_aborts"   // in-doubt txns resolved abort at open (presumed abort)
+	NameShard2PCCommitNS     = "shard.twopc_commit_ns"  // histogram: prepare→decision→commit latency
+	NameShardCrossTouched    = "shard.cross_shards"     // histogram: participants per cross-shard commit
 
 	// internal/wire — the TCP front end.
 	NameServerConns         = "server.conns"          // gauge: connections currently admitted

@@ -78,10 +78,8 @@ type Report struct {
 	// physical records applied to the image.
 	RecordsScanned int
 	RedoApplied    int
-	// LogStreams is the stream count of the recovered database's log set;
-	// RedoWorkers the worker count the redo-apply pass ran with (1 when
+	// RedoWorkers is the worker count the redo-apply pass ran with (1 when
 	// the serial path was taken).
-	LogStreams  int
 	RedoWorkers int
 	// CorruptionMode reports whether the delete-transaction algorithm
 	// ran; CWMode whether the codeword-in-read-log variant was used.
@@ -103,16 +101,6 @@ type Report struct {
 	// other ping-pong image instead, replaying the log from its older
 	// CK_end.
 	UsedFallbackImage bool
-	// GSNGaps lists holes found in the merged scan's stamped-GSN
-	// sequence. GSNs are stamped densely within a session (per-open epoch
-	// records absorb the counter re-seed), and the commit path forces every
-	// record below an acknowledged commit durable across streams before
-	// acking — so a gap means a record that surviving sibling-stream
-	// records may depend on was lost, and the recovered state past the
-	// first gap should not be trusted blindly. Recovery still replays
-	// (surviving records are better applied than dropped) but surfaces the
-	// holes here, in the recovery.gsn_gaps counter, and as events.
-	GSNGaps []wal.GSNGap
 	// InDoubt lists 2PC-prepared transactions recovery left attached
 	// (neither undone nor released), sorted by ID. The opener must resolve
 	// each against its coordinator's decision.
@@ -129,20 +117,20 @@ type Report struct {
 // log records), the delete-transaction corruption recovery algorithm of
 // §4.3 runs as part of restart recovery; otherwise plain multi-level
 // restart recovery runs. Recovery ends with a checkpoint, so a subsequent
-// crash recovers from a clean image.
+// crash recovers from a clean image. A directory written in the
+// multi-stream log layout is refused before anything in it changes.
 func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
 	}
+	if err := wal.CheckSingleLog(cfg.FS, cfg.Dir); err != nil {
+		return nil, nil, fmt.Errorf("recovery: %w", err)
+	}
 	report := &Report{}
 
 	anchorExists := fileExists(filepath.Join(cfg.Dir, ckpt.AnchorFileName))
-	nStreams, err := wal.DetectStreamsFS(cfg.FS, cfg.Dir)
-	if err != nil {
-		return nil, nil, fmt.Errorf("recovery: %w", err)
-	}
-	logExists := nStreams > 0
+	logExists := fileExists(filepath.Join(cfg.Dir, wal.LogFileName))
 	if !anchorExists && !logExists {
 		db, err := core.Open(cfg)
 		if err != nil {
@@ -159,7 +147,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		image   []byte
 		meta    []byte
 		entries = make(map[wal.TxnID]*wal.TxnEntry)
-		ckEnds  []wal.LSN
+		ckEnd   wal.LSN
 		auditSN wal.LSN
 		fbFrom  int // images involved in a fallback load, for the event
 		fbTo    int
@@ -179,18 +167,13 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 			if fberr != nil {
 				return nil, nil, fmt.Errorf("recovery: %w (fallback image also unusable: %v)", loadErr, fberr)
 			}
-			bases, berr := wal.LogBasesFS(cfg.FS, cfg.Dir)
+			base, berr := wal.LogBaseFS(cfg.FS, cfg.Dir)
 			if berr != nil {
 				return nil, nil, fmt.Errorf("recovery: %w (fallback log base: %v)", loadErr, berr)
 			}
-			fbVec := fb.Anchor.Vector()
-			for i, base := range bases {
-				// Streams beyond the fallback's vector replay from their own
-				// base, which trivially reaches back far enough.
-				if i < len(fbVec) && base > fbVec[i] {
-					return nil, nil, fmt.Errorf("recovery: %w (fallback image needs stream %d log from %d but it was compacted to %d)",
-						loadErr, i, fbVec[i], base)
-				}
+			if base > fb.Anchor.CKEnd {
+				return nil, nil, fmt.Errorf("recovery: %w (fallback image needs log from %d but log was compacted to %d)",
+					loadErr, fb.Anchor.CKEnd, base)
 			}
 			loaded, err = fb, nil
 			report.UsedFallbackImage = true
@@ -206,7 +189,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 		}
 		image = loaded.Image
 		meta = loaded.Meta
-		ckEnds = loaded.Anchor.Vector()
+		ckEnd = loaded.Anchor.CKEnd
 		auditSN = loaded.Anchor.AuditSN
 		report.CheckpointSeq = loaded.Anchor.SeqNo
 		for _, e := range loaded.ATTEntries {
@@ -215,7 +198,7 @@ func Open(cfg core.Config, opts Options) (*core.DB, *Report, error) {
 	} else {
 		image = make([]byte, imageSize)
 	}
-	db, rep, err := openFrom(cfg, image, meta, entries, ckEnds, auditSN, opts, report)
+	db, rep, err := openFrom(cfg, image, meta, entries, ckEnd, auditSN, opts, report)
 	if err == nil && rep.UsedFallbackImage {
 		reg := db.Observability()
 		reg.Counter(obs.NameCkptFallbacks).Inc()
@@ -234,67 +217,55 @@ type ImageState struct {
 	Meta    []byte
 	CKEnd   wal.LSN
 	AuditSN wal.LSN
-	// CKEnds is the per-stream consistency vector for multi-stream logs
-	// (entry 0 equals CKEnd). Empty means single-stream: streams beyond
-	// the vector replay from their base.
-	CKEnds []wal.LSN
 }
 
 // OpenFromImage runs restart recovery from an externally supplied image
 // instead of the current checkpoint (media recovery from an archive). The
 // directory's retained log must reach back to st.CKEnd. The checkpoint
 // anchor and images in the directory are ignored and replaced by the
-// completion checkpoint.
+// completion checkpoint — unless the anchor or a log stream file marks
+// the multi-stream layout, which is refused before anything changes.
 func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Report, error) {
 	cfg, err := cfg.Normalized()
 	if err != nil {
 		return nil, nil, err
+	}
+	if err := wal.CheckSingleLog(cfg.FS, cfg.Dir); err != nil {
+		return nil, nil, fmt.Errorf("recovery: %w", err)
+	}
+	if _, err := ckpt.OpenFS(cfg.FS, cfg.Dir, cfg.PageSize); errors.Is(err, wal.ErrMultiStreamLog) {
+		return nil, nil, fmt.Errorf("recovery: %w", err)
 	}
 	imageSize := roundUp(cfg.ArenaSize, cfg.PageSize)
 	if len(st.Image) != imageSize {
 		return nil, nil, fmt.Errorf("recovery: supplied image is %d bytes, config implies %d",
 			len(st.Image), imageSize)
 	}
-	ckEnds := st.CKEnds
-	if len(ckEnds) == 0 {
-		ckEnds = []wal.LSN{st.CKEnd}
-	}
 	report := &Report{ScanStart: st.CKEnd}
 	image := append([]byte(nil), st.Image...)
 	return openFrom(cfg, image, st.Meta, make(map[wal.TxnID]*wal.TxnEntry),
-		ckEnds, st.AuditSN, opts, report)
+		st.CKEnd, st.AuditSN, opts, report)
 }
 
 // openFrom is the shared redo/undo/checkpoint pipeline behind Open and
 // OpenFromImage.
 func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.TxnEntry,
-	ckEnds []wal.LSN, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
-	var ckEnd wal.LSN
-	if len(ckEnds) > 0 {
-		ckEnd = ckEnds[0]
-	}
+	ckEnd, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
 	report.ScanStart = ckEnd
 
-	// One merged scan: every stream is read concurrently from its entry in
-	// the checkpoint's stream vector (streams the vector predates replay
-	// from their base) and the records merge into global GSN order. Both
-	// the pre-scan and the redo scan walk this one materialized sequence.
-	merged, err := wal.ScanStreamsFS(cfg.FS, cfg.Dir, ckEnds)
-	if err != nil {
+	// One read of the log from CK_end: both the pre-scan and the redo scan
+	// walk the materialized records.
+	var recs []*wal.Record
+	if err := wal.ScanFS(cfg.FS, cfg.Dir, ckEnd, func(r *wal.Record) bool {
+		recs = append(recs, r)
+		return true
+	}); err != nil {
 		return nil, nil, err
 	}
 
-	// GSN density check: each stream's scan ended independently at its own
-	// torn tail, so a hole in the stamped sequence — a lost record with
-	// surviving higher-GSN records merged over it — would otherwise be
-	// undetectable. Gaps are surfaced (report, counter, events below), not
-	// fatal: replaying the surviving records still converges the image,
-	// and the audit pass decides what state is trustworthy.
-	report.GSNGaps = wal.FindGSNGaps(merged)
-
 	// Pre-scan: locate the last clean audit (Audit_SN), gather the
 	// corrupt ranges noted by failed audits, and find the ID horizon.
-	pre := prescan(merged, auditSN)
+	pre := prescan(recs, auditSN)
 
 	pcfg := cfg.Protect.Defaulted()
 	cwMode := pcfg.Kind == protect.KindCWReadLog && !opts.DisableCorruptionMode
@@ -322,7 +293,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		report.RedoWorkers = workers
 	}
 
-	// Redo phase: forward scan in global order, repeating history
+	// Redo phase: forward scan from CK_end, repeating history
 	// physically — except for transactions found to have read corrupt
 	// data, whose writes are diverted into the CorruptDataTable (§4.3).
 	scanState := &redoScan{
@@ -344,13 +315,13 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	if corruptionMode && !cwMode && pre.lastCleanBegin <= ckEnd {
 		scanState.seedNow()
 	}
-	for i, sr := range merged {
-		if corruptionMode && !cwMode && !scanState.seeded && pre.seedIdx >= 0 && i >= pre.seedIdx {
-			// The merged scan reached Audit_SN (the begin record of the
-			// last clean audit): seed the data known corrupt at that point.
+	for _, r := range recs {
+		if corruptionMode && !cwMode && !scanState.seeded && r.LSN >= pre.lastCleanBegin {
+			// The scan reached Audit_SN (the begin record of the last clean
+			// audit): seed the data known corrupt at that point.
 			scanState.seedNow()
 		}
-		if !scanState.step(sr.R) {
+		if !scanState.step(r) {
 			break
 		}
 	}
@@ -361,7 +332,7 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	report.RedoApplied = scanState.applied
 
 	// Deferred parallel apply: workers own disjoint contiguous partitions
-	// of the image and each walks the full apply list in global order,
+	// of the image and each walks the full apply list in log order,
 	// copying only the bytes that intersect its partition. Every image
 	// byte is written by exactly one worker in record order, so the final
 	// image — and every captured before-image — is byte-identical to a
@@ -383,19 +354,10 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	if err != nil {
 		return nil, nil, err
 	}
-	report.LogStreams = db.Internals().Log.NumStreams()
 	reg := db.Observability()
 	reg.Gauge(obs.NameRecoveryRedoWorkers).Set(int64(report.RedoWorkers))
 	if deferApply {
 		reg.Histogram(obs.NameRecoveryParallelNS).Observe(redoNS)
-	}
-	if len(report.GSNGaps) > 0 {
-		reg.Counter(obs.NameRecoveryGSNGaps).Add(uint64(len(report.GSNGaps)))
-		if reg.HasSinks() {
-			for _, g := range report.GSNGaps {
-				reg.Emit(obs.RecoveryGSNGapEvent{After: g.After, Next: g.Next, Stream: g.Stream})
-			}
-		}
 	}
 
 	// Undo phase: every remaining entry — incomplete transactions and
@@ -442,14 +404,9 @@ func roundUp(n, multiple int) int {
 // prescanResult carries what the first pass learned.
 type prescanResult struct {
 	lastCleanBegin wal.LSN
-	// seedIdx is the position in the merged scan where the corruption
-	// algorithm seeds the CorruptDataTable: the first stream-0 record at
-	// or past Audit_SN (audit records live on stream 0, so Audit_SN is a
-	// stream-0 LSN). -1 when no scanned record qualifies.
-	seedIdx    int
-	failRanges []Range
-	maxTxn     wal.TxnID
-	maxAuditSN uint64
+	failRanges     []Range
+	maxTxn         wal.TxnID
+	maxAuditSN     uint64
 }
 
 // prescan finds Audit_SN (the begin LSN of the last clean audit), the
@@ -457,11 +414,10 @@ type prescanResult struct {
 // horizons. It must be a separate pass because corrupt ranges are seeded
 // into the CorruptDataTable when the main scan passes Audit_SN, which is
 // earlier in the log than the failed audit that noted them.
-func prescan(merged []wal.StreamRecord, anchorAuditSN wal.LSN) *prescanResult {
-	res := &prescanResult{lastCleanBegin: anchorAuditSN, seedIdx: -1}
+func prescan(recs []*wal.Record, anchorAuditSN wal.LSN) *prescanResult {
+	res := &prescanResult{lastCleanBegin: anchorAuditSN}
 	begins := make(map[uint64]wal.LSN)
-	for _, sr := range merged {
-		r := sr.R
+	for _, r := range recs {
 		if r.Txn > res.maxTxn {
 			res.maxTxn = r.Txn
 		}
@@ -486,12 +442,6 @@ func prescan(merged []wal.StreamRecord, anchorAuditSN wal.LSN) *prescanResult {
 					})
 				}
 			}
-		}
-	}
-	for i, sr := range merged {
-		if sr.Stream == 0 && sr.R.LSN >= res.lastCleanBegin {
-			res.seedIdx = i
-			break
 		}
 	}
 	return res
@@ -530,7 +480,7 @@ type applyItem struct {
 
 // applyParallel replays deferred physical redos with workers owning
 // disjoint contiguous byte partitions of the image. Each worker walks the
-// full item list in global order and copies only the intersection with
+// full item list in log order and copies only the intersection with
 // its partition — capturing the before-image, then applying the data —
 // so per byte the replay happens exactly in serial order, and no two
 // workers touch the same byte of the image or of any before buffer.
@@ -719,7 +669,7 @@ func (s *redoScan) step(r *wal.Record) bool {
 				return false
 			}
 		} else {
-			if err := e.CommitOp(r.Level, r.Key, r.Undo, r.OrderLSN()); err != nil {
+			if err := e.CommitOp(r.Level, r.Key, r.Undo, r.LSN); err != nil {
 				s.err = fmt.Errorf("recovery: %w", err)
 				return false
 			}

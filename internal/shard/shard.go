@@ -52,11 +52,6 @@ type Config struct {
 	LockTimeout time.Duration
 	Workers     int
 	FS          iofault.FS
-	// LogStreams is the per-shard log stream count (core.Config.LogStreams):
-	// each shard's WAL is sharded into this many independent streams. 2PC
-	// prepare and decision records are stamped with the shard's GSN like
-	// every other record, so in-doubt resolution merges correctly.
-	LogStreams int
 	// RedoWorkers bounds the partitioned parallel redo-apply pass during
 	// per-shard recovery (recovery.Options.RedoWorkers; 0 uses Workers).
 	RedoWorkers int
@@ -232,7 +227,6 @@ func openUnit(cfg Config, i int) (*unit, *recovery.Report, error) {
 		LockTimeout:          cfg.LockTimeout,
 		Workers:              cfg.Workers,
 		FS:                   cfg.FS,
-		LogStreams:           cfg.LogStreams,
 		DisableLogCompaction: cfg.DisableLogCompaction,
 	}
 	existing := false

@@ -243,15 +243,15 @@ func TestCrossShardTortureEveryCrashPoint(t *testing.T) {
 	runCrossShardTorture(t, 0)
 }
 
-// TestCrossShardTortureEveryCrashPointMultiStream reruns the campaign
-// with each shard's WAL sharded into two streams: crash points now land
-// inside every stream file's writes and fsyncs, and in-doubt 2PC
-// resolution must merge prepare/decision records across streams by GSN.
-func TestCrossShardTortureEveryCrashPointMultiStream(t *testing.T) {
+// TestCrossShardTortureEveryCrashPointParallelRedo reruns the campaign
+// with each shard recovering through the partitioned parallel redo-apply
+// at two workers: in-doubt 2PC resolution must reach the same outcomes as
+// with the serial replay.
+func TestCrossShardTortureEveryCrashPointParallelRedo(t *testing.T) {
 	runCrossShardTorture(t, 2)
 }
 
-func runCrossShardTorture(t *testing.T, logStreams int) {
+func runCrossShardTorture(t *testing.T, redoWorkers int) {
 	if testing.Short() {
 		t.Skip("torture campaign is long; skipped with -short")
 	}
@@ -259,10 +259,7 @@ func runCrossShardTorture(t *testing.T, logStreams int) {
 	const K = 2
 	mkCfg := func(dir string) Config {
 		c := testConfig(t, dir, K)
-		c.LogStreams = logStreams
-		if logStreams > 1 {
-			c.RedoWorkers = 2
-		}
+		c.RedoWorkers = redoWorkers
 		return c
 	}
 	seed := filepath.Join(t.TempDir(), "seed")

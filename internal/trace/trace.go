@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/iofault"
 	"repro/internal/mem"
 	"repro/internal/recovery"
 	"repro/internal/wal"
@@ -77,15 +76,13 @@ type Result struct {
 // Options configures a trace.
 type Options struct {
 	// From is the log position to scan from (a checkpoint's CK_end, or 0
-	// for the whole log). For a multi-stream log set this is a position in
-	// the global order — the GSN domain — not a stream-local LSN.
+	// for the whole log).
 	From wal.LSN
 	// SeedRanges marks byte ranges as corrupt once the scan passes SeedAt.
 	SeedRanges []recovery.Range
 	// SeedAt is the log position at which SeedRanges become corrupt — the
 	// analogue of recovery's Audit_SN (the last moment the data was known
-	// clean). Zero seeds them from the start of the scan. For a
-	// multi-stream log set this is a global (GSN-domain) position.
+	// clean). Zero seeds them from the start of the scan.
 	SeedAt wal.LSN
 	// SeedTxns marks transactions as suspect from the start: all their
 	// writes are treated as corrupt (the logical-corruption case — a
@@ -94,11 +91,7 @@ type Options struct {
 	SeedTxns []wal.TxnID
 }
 
-// Run scans the log in dir and returns the propagation report. A
-// multi-stream log set is detected automatically: every stream is scanned
-// and the records are merged into global GSN order, so taint propagates
-// in true commit order even when the carriers' records live on different
-// streams. Positions in reasons and options are then global (OrderLSN).
+// Run scans the log in dir and returns the propagation report.
 func Run(dir string, opts Options) (*Result, error) {
 	res := &Result{Generations: make(map[wal.TxnID]int)}
 	var data recovery.RangeSet
@@ -123,6 +116,12 @@ func Run(dir string, opts Options) (*Result, error) {
 	// transactions' undo logs in §4.3).
 	ops := make(map[wal.TxnID]map[wal.ObjectKey]struct{})
 
+	// Clamp the scan start to the retained log (checkpoints compact the
+	// prefix away).
+	if base, err := wal.LogBase(dir); err == nil && opts.From < base {
+		opts.From = base
+	}
+
 	taint := func(id wal.TxnID, why Reason, g int) *TxnTrace {
 		tt, ok := tainted[id]
 		if !ok {
@@ -133,10 +132,9 @@ func Run(dir string, opts Options) (*Result, error) {
 		return tt
 	}
 
-	step := func(r *wal.Record) bool {
+	err := wal.Scan(dir, opts.From, func(r *wal.Record) bool {
 		res.Records++
-		pos := r.OrderLSN()
-		if !seeded && pos >= opts.SeedAt {
+		if !seeded && r.LSN >= opts.SeedAt {
 			seedNow()
 		}
 		switch r.Kind {
@@ -146,7 +144,7 @@ func Run(dir string, opts Options) (*Result, error) {
 				break
 			}
 			if data.Overlaps(r.Addr, r.Len) {
-				taint(r.Txn, Reason{Kind: "read", LSN: pos,
+				taint(r.Txn, Reason{Kind: "read", LSN: r.LSN,
 					Range: recovery.Range{Start: r.Addr, Len: r.Len}}, generationOf(gen, tainted, r))
 			}
 		case wal.KindPhysRedo:
@@ -157,7 +155,7 @@ func Run(dir string, opts Options) (*Result, error) {
 				break
 			}
 			if data.Overlaps(r.Addr, len(r.Data)) {
-				tt := taint(r.Txn, Reason{Kind: "write", LSN: pos,
+				tt := taint(r.Txn, Reason{Kind: "write", LSN: r.LSN,
 					Range: recovery.Range{Start: r.Addr, Len: len(r.Data)}}, generationOf(gen, tainted, r))
 				rg := recovery.Range{Start: r.Addr, Len: len(r.Data)}
 				data.Add(rg)
@@ -172,7 +170,7 @@ func Run(dir string, opts Options) (*Result, error) {
 					continue
 				}
 				if _, conflict := keys[r.Key]; conflict {
-					taint(r.Txn, Reason{Kind: "conflict", LSN: pos, Via: id}, gen[id]+1)
+					taint(r.Txn, Reason{Kind: "conflict", LSN: r.LSN, Via: id}, gen[id]+1)
 					break
 				}
 			}
@@ -188,36 +186,9 @@ func Run(dir string, opts Options) (*Result, error) {
 			}
 		}
 		return true
-	}
-
-	nStreams, err := wal.DetectStreamsFS(iofault.OS, dir)
+	})
 	if err != nil {
 		return nil, err
-	}
-	if nStreams <= 1 {
-		// Clamp the scan start to the retained log (checkpoints compact
-		// the prefix away).
-		if base, err := wal.LogBase(dir); err == nil && opts.From < base {
-			opts.From = base
-		}
-		if err := wal.Scan(dir, opts.From, step); err != nil {
-			return nil, err
-		}
-	} else {
-		// Every stream from its retained base, merged into GSN order;
-		// From is a global-order floor, not a per-stream byte offset.
-		merged, err := wal.ScanStreamsFS(iofault.OS, dir, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, sr := range merged {
-			if sr.R.OrderLSN() < opts.From {
-				continue
-			}
-			if !step(sr.R) {
-				break
-			}
-		}
 	}
 	// Emit final copies sorted by first-taint LSN.
 	for _, tt := range tainted {

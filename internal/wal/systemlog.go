@@ -4,10 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/iofault"
@@ -83,7 +84,7 @@ func (f DirtyNoterFunc) NoteDirty(id mem.PageID) { f(id) }
 // appends so that LSNs are dense byte offsets into the (stable ++ tail)
 // byte stream.
 type SystemLog struct {
-	latch latch.Latch //dbvet:latch stream — the paper's "system log latch"; one per stream in a sharded set
+	latch latch.Latch //dbvet:latch syslog — the paper's "system log latch"
 	// flushDone is signalled whenever a flush completes; committers
 	// waiting for their records to become durable sleep on it (group
 	// commit: the latch is NOT held across the fsync, so appends and
@@ -98,8 +99,6 @@ type SystemLog struct {
 
 	fs        iofault.FS
 	dir       string
-	name      string // file name within dir (LogFileName, or a stream file)
-	stream    int    // stream index within a LogSet (0 for a standalone log)
 	f         iofault.File
 	baseLSN   LSN    // LSN of the first record in the file (post-compaction)
 	stableEnd LSN    // everything below this LSN is on disk
@@ -107,30 +106,9 @@ type SystemLog struct {
 	tailRecs  []tailRec
 	pageSize  int
 
-	// gsnSrc, when non-nil, is the owning LogSet's shared global sequence
-	// counter: appendLocked stamps every record from it (under this
-	// stream's latch), giving cross-stream records a total order without a
-	// shared append-path latch. nil on standalone (single-stream) logs.
-	gsnSrc *atomic.Uint64
-	// stampedGSN is the highest GSN stamped onto a record of this stream;
-	// durableGSN is the stampedGSN value as of the capture of the last
-	// completed flush. Both are guarded by the stream latch. Because a
-	// stream's records are stamped in ascending GSN order, every volatile
-	// (not yet durable) record has GSN > durableGSN — the owning LogSet's
-	// commit path uses this to decide which sibling streams must be forced
-	// before a commit is acknowledged (cross-stream prefix durability).
-	stampedGSN uint64
-	durableGSN uint64
-
 	// poisoned, once set, permanently fails every Append/Flush (fail-stop
 	// after a stable-log write/fsync failure). Guarded by the log latch.
 	poisoned error
-	// onPoison, when set, is called exactly once at poison time (with this
-	// stream's latch held). The owning LogSet installs a hook here that
-	// fail-stops the sibling streams: it must not acquire another stream's
-	// latch synchronously (it flips a set-level atomic and fans out on a
-	// fresh goroutine).
-	onPoison func(cause error)
 
 	noters []DirtyNoter
 
@@ -151,11 +129,6 @@ type SystemLog struct {
 	hFsyncNS     *obs.Histogram
 	hFlushBytes  *obs.Histogram
 	hGroupCommit *obs.Histogram
-	// hGroupCommitStream, set by an owning multi-stream LogSet, additionally
-	// records this stream's group-commit batch sizes under a per-stream
-	// metric name, so an operator can see whether commit load spreads
-	// across streams. nil (no-op) on standalone logs.
-	hGroupCommitStream *obs.Histogram
 }
 
 // SetRegistry wires the log's metrics and events into reg: append/flush
@@ -207,14 +180,14 @@ func OpenSystemLog(dir string, pageSize int) (*SystemLog, error) {
 // OpenSystemLogFS is OpenSystemLog with the log's durability I/O routed
 // through an iofault.FS, so storage-fault campaigns can inject fsync
 // failures, short writes and crash points into the stable log.
+//
+// A directory holding a multi-stream log is refused before anything in it
+// is opened or truncated (see CheckSingleLog).
 func OpenSystemLogFS(fsys iofault.FS, dir string, pageSize int) (*SystemLog, error) {
-	return openStreamLogFS(fsys, dir, LogFileName, 0, pageSize)
-}
-
-// openStreamLogFS opens one stream file of a log set (stream 0 is the
-// historical system.log, so single-stream databases keep their layout).
-func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int) (*SystemLog, error) {
-	path := filepath.Join(dir, name)
+	if err := CheckSingleLog(fsys, dir); err != nil {
+		return nil, err
+	}
+	path := filepath.Join(dir, LogFileName)
 	f, err := fsys.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: open system log: %w", err)
@@ -259,7 +232,7 @@ func openStreamLogFS(fsys iofault.FS, dir, name string, stream, pageSize int) (*
 		return nil, err
 	}
 	l := &SystemLog{
-		fs: fsys, dir: dir, name: name, stream: stream, f: f, baseLSN: base,
+		fs: fsys, dir: dir, f: f, baseLSN: base,
 		stableEnd: base + LSN(valid-logHeaderSize),
 		pageSize:  pageSize,
 	}
@@ -299,7 +272,7 @@ func (l *SystemLog) Compact(keepFrom LSN) error {
 	if keepFrom == l.baseLSN {
 		return nil
 	}
-	path := filepath.Join(l.dir, l.name)
+	path := filepath.Join(l.dir, LogFileName)
 	data, err := l.fs.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("wal: compact read: %w", err)
@@ -378,10 +351,6 @@ func (l *SystemLog) Append(recs ...*Record) error {
 func (l *SystemLog) appendLocked(recs []*Record) {
 	for _, r := range recs {
 		r.LSN = l.endLocked()
-		if l.gsnSrc != nil {
-			r.GSN = l.gsnSrc.Add(1)
-			l.stampedGSN = r.GSN
-		}
 		before := len(l.tail)
 		l.tail = r.Encode(l.tail)
 		l.tailRecs = append(l.tailRecs, tailRec{lsn: r.LSN, kind: r.Kind, addr: r.Addr, n: len(r.Data)})
@@ -411,24 +380,6 @@ func (l *SystemLog) poisonLocked(cause error) {
 		l.reg.Emit(obs.LogPoisonedEvent{Cause: cause})
 	}
 	l.flushDone.Broadcast()
-	if l.onPoison != nil {
-		// Fan-out hook: one poisoned stream fail-stops the whole log set.
-		// The hook runs with THIS stream's latch held, so it must not take
-		// a sibling's latch synchronously (the LogSet hook flips an atomic
-		// flag and poisons siblings from a fresh goroutine).
-		l.onPoison(cause)
-	}
-}
-
-// Poison fail-stops the log with the given cause, exactly as a failed
-// write/fsync would: the tail is discarded, waiters wake, and every future
-// Append/Flush fails. Used by the LogSet poison fan-out (a sibling stream
-// failed) — once any stream of a set is poisoned, no stream of the set may
-// acknowledge another commit. Poisoning an already poisoned log is a no-op.
-func (l *SystemLog) Poison(cause error) {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	l.poisonLocked(cause)
 }
 
 // Poisoned reports the poison error if the log has fail-stopped, nil
@@ -452,58 +403,6 @@ func (l *SystemLog) StableEnd() LSN {
 	l.latch.Lock()
 	defer l.latch.Unlock()
 	return l.stableEnd
-}
-
-// GSNWatermarks reports the stream's GSN high-water marks: stamped is the
-// highest GSN assigned to a record of this stream, durable the highest
-// GSN known to be on disk. stamped == durable means the stream holds no
-// volatile stamped records; otherwise every volatile record's GSN lies in
-// (durable, stamped]. Reading under the latch is what makes the pair safe
-// for cross-stream commit decisions: a sibling's append holds its latch
-// from stamp to tail insertion, so a stamp that predates our own commit
-// record is always visible here.
-func (l *SystemLog) GSNWatermarks() (stamped, durable uint64) {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	return l.stampedGSN, l.durableGSN
-}
-
-// ForceGSNCtx blocks until every record of this stream stamped at or
-// below dep is durable. It is the cross-stream dependency force of the
-// set-level commit: unlike FlushCtx, which waits for the stream's current
-// end, it returns as soon as the durable watermark covers the horizon —
-// an in-flight group commit that captured the dependency records
-// satisfies it without a second force, so concurrent committers on
-// sibling streams mostly piggyback instead of queuing extra fsyncs. Only
-// when the horizon is still volatile and no force is in flight does it
-// start one (for the whole tail, as any flusher does).
-func (l *SystemLog) ForceGSNCtx(ctx context.Context, dep uint64) error {
-	l.latch.Lock()
-	defer l.latch.Unlock()
-	var stopWatch chan struct{}
-	for l.durableGSN < dep && l.durableGSN < l.stampedGSN {
-		if l.poisoned != nil {
-			return l.poisoned
-		}
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("%w: %w", ErrFlushWaitCanceled, err)
-		}
-		if l.flushing {
-			// The in-flight force may advance the durable watermark past
-			// dep; re-check after it settles instead of queuing another.
-			if ctx.Done() != nil && stopWatch == nil {
-				stopWatch = make(chan struct{})
-				defer close(stopWatch)
-				go l.watchFlushWait(ctx, stopWatch)
-			}
-			l.flushDone.Wait()
-			continue
-		}
-		if err := l.flushToLocked(ctx, l.endLocked()); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Flush forces everything appended so far to the stable log and notifies
@@ -565,13 +464,9 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 			// a force that completed between our checks.
 			break
 		}
-		// Become the flusher for the whole current tail. The captured
-		// buffer holds every record appended so far, so on success the
-		// durable-GSN watermark advances to the stamp high-water mark read
-		// here, under the latch, before the force begins.
+		// Become the flusher for the whole current tail.
 		buf := l.tail
 		recs := l.tailRecs
-		capturedGSN := l.stampedGSN
 		l.tail = nil
 		l.tailRecs = nil
 		l.flushing = true
@@ -594,7 +489,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 		l.hFsyncNS.ObserveDuration(fsync)
 		l.hFlushBytes.Observe(uint64(len(buf)))
 		l.hGroupCommit.Observe(uint64(len(recs)))
-		l.hGroupCommitStream.Observe(uint64(len(recs)))
 		if ferr != nil {
 			l.mFlushErrors.Inc()
 		} else {
@@ -630,9 +524,6 @@ func (l *SystemLog) flushToLocked(ctx context.Context, target LSN) error {
 			return l.poisoned
 		}
 		l.stableEnd += LSN(len(buf))
-		if capturedGSN > l.durableGSN {
-			l.durableGSN = capturedGSN
-		}
 		l.flushes++
 		for _, tr := range recs {
 			if tr.kind != KindPhysRedo || tr.n == 0 {
@@ -741,8 +632,6 @@ func (l *SystemLog) Reset() error {
 	l.stableEnd = 0
 	l.tail = l.tail[:0]
 	l.tailRecs = l.tailRecs[:0]
-	l.stampedGSN = 0
-	l.durableGSN = 0
 	return nil
 }
 
@@ -782,12 +671,10 @@ func LogBase(dir string) (LSN, error) { return LogBaseFS(iofault.OS, dir) }
 // LogBaseFS is LogBase reading through fsys, so recovery observes the
 // same (possibly fault-injected) filesystem the engine writes through.
 func LogBaseFS(fsys iofault.FS, dir string) (LSN, error) {
-	return logBaseFileFS(fsys, dir, LogFileName)
-}
-
-// logBaseFileFS is LogBaseFS for one named stream file.
-func logBaseFileFS(fsys iofault.FS, dir, name string) (LSN, error) {
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
+	if err := CheckSingleLog(fsys, dir); err != nil {
+		return 0, err
+	}
+	data, err := fsys.ReadFile(filepath.Join(dir, LogFileName))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, nil
@@ -810,6 +697,9 @@ func TruncateAt(dir string, lsn LSN) error { return TruncateAtFS(iofault.OS, dir
 // durable before returning: a prior-state cut that silently reverts on
 // crash would resurrect the history the caller just discarded.
 func TruncateAtFS(fsys iofault.FS, dir string, lsn LSN) error {
+	if err := CheckSingleLog(fsys, dir); err != nil {
+		return err
+	}
 	path := filepath.Join(dir, LogFileName)
 	data, err := fsys.ReadFile(path)
 	if err != nil {
@@ -857,12 +747,10 @@ func Scan(dir string, from LSN, fn func(*Record) bool) error {
 
 // ScanFS is Scan reading through fsys.
 func ScanFS(fsys iofault.FS, dir string, from LSN, fn func(*Record) bool) error {
-	return scanFileFS(fsys, dir, LogFileName, from, fn)
-}
-
-// scanFileFS is ScanFS over one named stream file.
-func scanFileFS(fsys iofault.FS, dir, name string, from LSN, fn func(*Record) bool) error {
-	data, err := fsys.ReadFile(filepath.Join(dir, name))
+	if err := CheckSingleLog(fsys, dir); err != nil {
+		return err
+	}
+	data, err := fsys.ReadFile(filepath.Join(dir, LogFileName))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return nil
@@ -894,6 +782,37 @@ func scanFileFS(fsys iofault.FS, dir, name string, from LSN, fn func(*Record) bo
 			return nil
 		}
 		pos += n
+	}
+	return nil
+}
+
+// ErrMultiStreamLog is wrapped by every refusal of a directory written by
+// an older build that could split the system log into several stream
+// files. Such a database spreads acknowledged commits over system.log and
+// its siblings, and its anchor, checkpoint meta files and archives carry a
+// per-stream position vector; reading system.log alone would silently
+// drop every commit held in the other files, so this build refuses it.
+var ErrMultiStreamLog = errors.New("multi-stream log layout is not supported; this build reads only a single system.log")
+
+// legacyMaxStreams is the stream count cap of the multi-stream layout:
+// its files were system.log plus system-1.log through system-63.log.
+const legacyMaxStreams = 64
+
+// CheckSingleLog refuses a directory that holds a log stream file of the
+// multi-stream layout (system-N.log, N >= 1). It probes every file name
+// that layout could write with a metadata Stat and reads nothing, so a
+// refused directory is left exactly as it was. A missing directory passes:
+// it holds no log at all.
+func CheckSingleLog(fsys iofault.FS, dir string) error {
+	for i := 1; i < legacyMaxStreams; i++ {
+		path := filepath.Join(dir, "system-"+strconv.Itoa(i)+".log")
+		_, err := fsys.Stat(path)
+		if err == nil {
+			return fmt.Errorf("wal: %s: %w", path, ErrMultiStreamLog)
+		}
+		if !errors.Is(err, fs.ErrNotExist) {
+			return fmt.Errorf("wal: probe %s: %w", path, err)
+		}
 	}
 	return nil
 }
