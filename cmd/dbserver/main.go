@@ -11,7 +11,7 @@
 // Usage:
 //
 //	dbserver -dir DBDIR [-addr :7070] [-shards 4] [-arena BYTES]
-//	         [-value BYTES] [-cap RECORDS] [-redo-workers N]
+//	         [-value BYTES] [-cap RECORDS]
 //	         [-maxconns N] [-idle DUR] [-grace DUR]
 package main
 
@@ -39,7 +39,6 @@ func main() {
 	value := flag.Int("value", 120, "max value bytes")
 	capacity := flag.Int("cap", 4096, "record capacity per shard")
 	workers := flag.Int("workers", 0, "scan-pool workers per shard (0 = default)")
-	redoWorkers := flag.Int("redo-workers", 0, "parallel redo-apply workers at restart (0 = GOMAXPROCS)")
 	lockTO := flag.Duration("locktimeout", 2*time.Second, "lock-wait timeout")
 	maxConns := flag.Int("maxconns", 64, "max concurrent connections")
 	idle := flag.Duration("idle", 5*time.Minute, "per-connection idle timeout")
@@ -59,7 +58,6 @@ func main() {
 		ValueSize:   *value,
 		Capacity:    *capacity,
 		Workers:     *workers,
-		RedoWorkers: *redoWorkers,
 		LockTimeout: *lockTO,
 	})
 	if err != nil {

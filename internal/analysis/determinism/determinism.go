@@ -1,5 +1,5 @@
-// Package determinism is the machine-checked form of the parallel-log
-// claim "parallel redo is bit-identical to serial replay": recovery,
+// Package determinism is the machine-checked form of the claim "two
+// recoveries of the same log produce bit-identical state": recovery,
 // audit, and transaction-resolution code must not let a nondeterminism
 // source reach replayed state or report output. Three rules:
 //
@@ -24,8 +24,7 @@
 //     a slice captured from the enclosing function orders results by
 //     scheduling accident. The deterministic chunk protocol — each
 //     worker writes only its own index (per[i] = append(per[i], …)) —
-//     is the sanctioned shape, exactly how the parallel log-stream scan
-//     merges its per-stream results.
+//     is the sanctioned shape.
 //
 // Scope: the recovery, audit (internal/check) and shard-resolution
 // packages, where replay determinism is the paper-level contract.

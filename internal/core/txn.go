@@ -369,6 +369,9 @@ func (t *Txn) Commit() error {
 	recs := append(t.entry.Redo, &wal.Record{Kind: wal.KindTxnCommit, Txn: t.entry.ID})
 	err := t.db.log.AppendAndFlushCtx(t.ctx, recs...)
 	t.entry.Redo = nil
+	if err == nil || errors.Is(err, wal.ErrFlushWaitCanceled) {
+		t.retire(wal.TxnCommitted)
+	}
 	t.db.barrier.RUnlock()
 	if err != nil {
 		if errors.Is(err, wal.ErrFlushWaitCanceled) {
@@ -415,13 +418,19 @@ func (t *Txn) Prepare(gid uint64) error {
 	recs := append(t.entry.Redo, &wal.Record{Kind: wal.KindTxnPrepare, Txn: t.entry.ID, GID: gid})
 	err := t.db.log.AppendAndFlushCtx(t.ctx, recs...)
 	t.entry.Redo = nil
+	if err == nil {
+		// Under the barrier, like every ATT state change: a checkpoint
+		// must not snapshot an Active entry whose prepare record lies
+		// before its CK_end (recovery would roll it back, not hold it in
+		// doubt).
+		t.entry.State = wal.TxnPrepared
+		t.entry.GID = gid
+	}
 	t.db.barrier.RUnlock()
 	if err != nil {
 		return fmt.Errorf("core: txn %d: prepare: %w", t.entry.ID, err)
 	}
 	t.prepared = true
-	t.entry.State = wal.TxnPrepared
-	t.entry.GID = gid
 	return nil
 }
 
@@ -439,6 +448,9 @@ func (t *Txn) CommitPrepared() error {
 	}
 	t.db.barrier.RLock()
 	err := t.db.log.AppendAndFlush(&wal.Record{Kind: wal.KindTxnCommit, Txn: t.entry.ID})
+	if err == nil {
+		t.retire(wal.TxnCommitted)
+	}
 	t.db.barrier.RUnlock()
 	if err != nil {
 		// Poisoned log: the commit record may not be durable, but the
@@ -463,12 +475,15 @@ func (t *Txn) AbortPrepared() error {
 		return fmt.Errorf("core: txn %d: AbortPrepared on unprepared transaction", t.entry.ID)
 	}
 	t.prepared = false
+	t.db.barrier.RLock() // ATT state changes happen under the barrier (see retire)
 	t.entry.State = wal.TxnActive
+	t.db.barrier.RUnlock()
 	if err := t.Rollback(); err != nil {
 		return err
 	}
 	t.db.barrier.RLock()
 	appendErr := t.db.log.Append(&wal.Record{Kind: wal.KindTxnAbort, Txn: t.entry.ID})
+	t.retire(wal.TxnAborted)
 	t.db.barrier.RUnlock()
 	t.finish(wal.TxnAborted)
 	return appendErr
@@ -530,6 +545,7 @@ func (t *Txn) Abort() error {
 	// can be durable beyond the stable prefix — restart recovery rolls it
 	// back again from the log. Finish locally either way.
 	appendErr := t.db.log.Append(&wal.Record{Kind: wal.KindTxnAbort, Txn: t.entry.ID})
+	t.retire(wal.TxnAborted)
 	t.db.barrier.RUnlock()
 	t.finish(wal.TxnAborted)
 	return appendErr
@@ -624,10 +640,23 @@ func (t *Txn) FinishAborted() {
 	// record only means the next restart repeats the (idempotent) rollback.
 	//dbvet:allow errflow recovery rollback tolerates a poisoned log; the abort record is redundant with the idempotent replay
 	_ = t.db.log.Append(&wal.Record{Kind: wal.KindTxnAbort, Txn: t.entry.ID})
+	t.retire(wal.TxnAborted)
 	t.db.barrier.RUnlock()
 	t.finish(wal.TxnAborted)
 }
 
+// retire records the transaction's final state and removes it from the
+// ATT. Callers hold the update barrier, in the same hold that appended the
+// commit or abort record: a checkpoint snapshots the ATT under the
+// exclusive barrier, so it never captures a finished transaction whose
+// commit record lies before its CK_end (recovery would roll it back).
+func (t *Txn) retire(state wal.TxnState) {
+	t.entry.State = state
+	t.db.att.Remove(t.entry.ID)
+}
+
+// finish ends a retired transaction locally: scheme exposures, metrics
+// and locks.
 func (t *Txn) finish(state wal.TxnState) {
 	// Any deferred page exposures end with the transaction.
 	t.db.schemeOpEnd()
@@ -636,8 +665,6 @@ func (t *Txn) finish(state wal.TxnState) {
 	} else {
 		t.db.mTxnsAborted.Inc()
 	}
-	t.entry.State = state
-	t.db.att.Remove(t.entry.ID)
 	if !t.recoveryMode {
 		t.db.locks.ReleaseAll(t.entry.ID)
 	}

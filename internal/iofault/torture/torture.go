@@ -39,9 +39,6 @@ type Config struct {
 	// transactions (0 = only the post-load checkpoint).
 	Txns            int
 	CheckpointEvery int
-	// RedoWorkers drives recovery's partitioned parallel redo-apply pass
-	// during Verify (recovery.Options.RedoWorkers; 0/1 = serial).
-	RedoWorkers int
 }
 
 // DefaultConfig is the exhaustive-test workload: small enough that the
@@ -214,7 +211,7 @@ func Verify(fsys *iofault.FaultFS, recoverDir string, c Config, res *RunResult) 
 	if err := fsys.MaterializeDurable(recoverDir); err != nil {
 		return nil, fmt.Errorf("torture: materialize durable state: %w", err)
 	}
-	db, rep, err := recovery.Open(CoreConfig(recoverDir, nil, c), recovery.Options{RedoWorkers: c.RedoWorkers})
+	db, rep, err := recovery.Open(CoreConfig(recoverDir, nil, c), recovery.Options{})
 	if err != nil {
 		return nil, fmt.Errorf("torture: recovery did not converge: %w", err)
 	}

@@ -52,9 +52,14 @@ const (
 	NameWALLatchWaitNS   = "wal.latch_wait_ns" // histogram: contended log-latch waits
 	NameWALLatchContends = "wal.latch_contended"
 
-	// internal/recovery — partitioned parallel redo.
-	NameRecoveryRedoWorkers = "recovery.redo_workers" // gauge: workers used by the partitioned redo pass
-	NameRecoveryParallelNS  = "recovery.parallel_ns"  // histogram: parallel redo apply wall time
+	// internal/recovery — restart recovery phases, one observation each per
+	// recovery (none for a fresh database; no checkpoint_ns when the
+	// completion checkpoint is skipped).
+	NameRecoveryScanNS       = "recovery.scan_ns"       // histogram: log read and decode from CK_end
+	NameRecoveryRedoNS       = "recovery.redo_ns"       // histogram: pre-scan plus the redo loop
+	NameRecoveryRebuildNS    = "recovery.rebuild_ns"    // histogram: database assembly and codeword recompute
+	NameRecoveryUndoNS       = "recovery.undo_ns"       // histogram: undo phase
+	NameRecoveryCheckpointNS = "recovery.checkpoint_ns" // histogram: completion checkpoint
 
 	// internal/region — codeword table maintenance.
 	NameRegionFolds         = "region.folds"

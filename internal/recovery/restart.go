@@ -29,12 +29,6 @@ type Options struct {
 	// and asserts): the ranges are treated like ranges noted by a failed
 	// audit.
 	ExtraCorrupt []Range
-	// RedoWorkers sets the worker count for the partitioned parallel
-	// redo-apply pass (0 uses Config.Workers; 1 forces the serial path).
-	// Corruption-mode recovery is always serial regardless: the
-	// delete-transaction algorithm's corrupt-read checks consult the image
-	// as it evolves record by record.
-	RedoWorkers int
 	// SkipCompletionCheckpoint suppresses the checkpoint that normally
 	// ends recovery. FOR CRASH DRILLS ONLY: it leaves the database in the
 	// state a crash immediately before the completion checkpoint would —
@@ -78,9 +72,6 @@ type Report struct {
 	// physical records applied to the image.
 	RecordsScanned int
 	RedoApplied    int
-	// RedoWorkers is the worker count the redo-apply pass ran with (1 when
-	// the serial path was taken).
-	RedoWorkers int
 	// CorruptionMode reports whether the delete-transaction algorithm
 	// ran; CWMode whether the codeword-in-read-log variant was used.
 	CorruptionMode bool
@@ -248,13 +239,16 @@ func OpenFromImage(cfg core.Config, st ImageState, opts Options) (*core.DB, *Rep
 }
 
 // openFrom is the shared redo/undo/checkpoint pipeline behind Open and
-// OpenFromImage.
+// OpenFromImage. Each phase's wall time lands in the recovered database's
+// registry (recovery.scan_ns, redo_ns, rebuild_ns, undo_ns,
+// checkpoint_ns), one observation per recovery.
 func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.TxnEntry,
 	ckEnd, auditSN wal.LSN, opts Options, report *Report) (*core.DB, *Report, error) {
 	report.ScanStart = ckEnd
 
 	// One read of the log from CK_end: both the pre-scan and the redo scan
 	// walk the materialized records.
+	start := time.Now()
 	var recs []*wal.Record
 	if err := wal.ScanFS(cfg.FS, cfg.Dir, ckEnd, func(r *wal.Record) bool {
 		recs = append(recs, r)
@@ -262,6 +256,8 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	}); err != nil {
 		return nil, nil, err
 	}
+	scanNS := time.Since(start)
+	start = time.Now()
 
 	// Pre-scan: locate the last clean audit (Audit_SN), gather the
 	// corrupt ranges noted by failed audits, and find the ID horizon.
@@ -280,22 +276,12 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	seed = append(seed, opts.ExtraCorrupt...)
 	report.SeedCorrupt = seed
 
-	// The partitioned parallel apply only runs outside corruption mode:
-	// the delete-transaction algorithm's corrupt-read checks consult the
-	// image as it evolves record by record, which is inherently serial.
-	workers := opts.RedoWorkers
-	if workers <= 0 {
-		workers = cfg.Workers
-	}
-	deferApply := !corruptionMode && workers > 1
-	report.RedoWorkers = 1
-	if deferApply {
-		report.RedoWorkers = workers
-	}
-
-	// Redo phase: forward scan from CK_end, repeating history
-	// physically — except for transactions found to have read corrupt
-	// data, whose writes are diverted into the CorruptDataTable (§4.3).
+	// Redo phase: one forward scan from CK_end, repeating history
+	// physically in log order — except for transactions found to have
+	// read corrupt data, whose writes are diverted into the
+	// CorruptDataTable (§4.3). Plain and corruption-mode recovery share
+	// this loop; each physical redo is copied into the image as the scan
+	// reaches it, so the corrupt-read checks see the image as it evolves.
 	scanState := &redoScan{
 		image:      image,
 		regionSize: pcfg.RegionSize,
@@ -305,7 +291,6 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		corruption: corruptionMode,
 		seed:       seed,
 		maxTxn:     pre.maxTxn,
-		deferApply: deferApply,
 	}
 	for id := range entries {
 		if id > scanState.maxTxn {
@@ -330,21 +315,11 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 	}
 	report.RecordsScanned = scanState.scanned
 	report.RedoApplied = scanState.applied
+	redoNS := time.Since(start)
 
-	// Deferred parallel apply: workers own disjoint contiguous partitions
-	// of the image and each walks the full apply list in log order,
-	// copying only the bytes that intersect its partition. Every image
-	// byte is written by exactly one worker in record order, so the final
-	// image — and every captured before-image — is byte-identical to a
-	// serial replay.
-	var redoNS uint64
-	if deferApply && len(scanState.items) > 0 {
-		startApply := time.Now()
-		applyParallel(image, scanState.items, workers)
-		redoNS = uint64(time.Since(startApply).Nanoseconds())
-	}
-
-	// Assemble the database around the recovered image.
+	// Assemble the database around the recovered image (codewords are
+	// recomputed from it).
+	start = time.Now()
 	db, err := core.NewRecovered(cfg, &core.RecoveredState{
 		Image:     image,
 		Meta:      meta,
@@ -355,20 +330,21 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		return nil, nil, err
 	}
 	reg := db.Observability()
-	reg.Gauge(obs.NameRecoveryRedoWorkers).Set(int64(report.RedoWorkers))
-	if deferApply {
-		reg.Histogram(obs.NameRecoveryParallelNS).Observe(redoNS)
-	}
+	reg.Histogram(obs.NameRecoveryScanNS).ObserveDuration(scanNS)
+	reg.Histogram(obs.NameRecoveryRedoNS).ObserveDuration(redoNS)
+	reg.Histogram(obs.NameRecoveryRebuildNS).Since(start)
 
 	// Undo phase: every remaining entry — incomplete transactions and
 	// deleted (corrupt) transactions alike — is rolled back, level by
 	// level: first the physical undos of operations that never committed,
 	// then logical undos across transactions in reverse operation-commit
 	// order.
+	start = time.Now()
 	if err := undoPhase(db, entries, scanState.ctt, report); err != nil {
 		db.Close()
 		return nil, nil, err
 	}
+	reg.Histogram(obs.NameRecoveryUndoNS).Since(start)
 	report.FinalCorrupt = scanState.cdt.Ranges()
 	report.Decisions = scanState.decisions
 
@@ -382,10 +358,12 @@ func openFrom(cfg core.Config, image, meta []byte, entries map[wal.TxnID]*wal.Tx
 		}
 		return db, report, nil
 	}
+	start = time.Now()
 	if err := db.Checkpoint(); err != nil {
 		db.Close()
 		return nil, nil, fmt.Errorf("recovery: completion checkpoint: %w", err)
 	}
+	reg.Histogram(obs.NameRecoveryCheckpointNS).Since(start)
 	return db, report, nil
 }
 
@@ -462,61 +440,7 @@ type redoScan struct {
 	scanned    int
 	applied    int
 	decisions  map[uint64]bool // coordinator verdicts seen in this log
-	// deferApply diverts physical redos into items for the partitioned
-	// parallel apply pass instead of applying them inline.
-	deferApply bool
-	items      []applyItem
 	err        error
-}
-
-// applyItem is one physical redo deferred for the parallel apply pass.
-// before is the undo buffer already pushed on the transaction's entry;
-// apply workers fill the parts of it that intersect their partition.
-type applyItem struct {
-	addr   mem.Addr
-	data   []byte
-	before []byte
-}
-
-// applyParallel replays deferred physical redos with workers owning
-// disjoint contiguous byte partitions of the image. Each worker walks the
-// full item list in log order and copies only the intersection with
-// its partition — capturing the before-image, then applying the data —
-// so per byte the replay happens exactly in serial order, and no two
-// workers touch the same byte of the image or of any before buffer.
-func applyParallel(image []byte, items []applyItem, workers int) {
-	pool := region.NewPool(workers)
-	psz := (len(image) + workers - 1) / workers
-	if psz < 1 {
-		psz = 1
-	}
-	pool.Run(workers, 1, func(lo, hi int) {
-		for p := lo; p < hi; p++ {
-			plo := p * psz
-			phi := plo + psz
-			if plo >= len(image) {
-				continue
-			}
-			if phi > len(image) {
-				phi = len(image)
-			}
-			for _, it := range items {
-				a := int(it.addr)
-				s, e := a, a+len(it.data)
-				if s < plo {
-					s = plo
-				}
-				if e > phi {
-					e = phi
-				}
-				if s >= e {
-					continue
-				}
-				copy(it.before[s-a:e-a], image[s:e])
-				copy(image[s:e], it.data[s-a:e-a])
-			}
-		}
-	})
 }
 
 func (s *redoScan) seedNow() {
@@ -636,16 +560,9 @@ func (s *redoScan) step(r *wal.Record) bool {
 			s.err = fmt.Errorf("recovery: redo record [%d,+%d) beyond image", r.Addr, len(r.Data))
 			return false
 		}
-		e := s.entry(r.Txn)
-		before := make([]byte, len(r.Data))
-		u := e.PushPhysUndo(r.Addr, before)
+		u := s.entry(r.Txn).PushPhysUndo(r.Addr, append([]byte(nil), s.image[r.Addr:end]...))
 		u.CodewordPending = false // codewords are recomputed wholesale after redo
-		if s.deferApply {
-			s.items = append(s.items, applyItem{addr: r.Addr, data: r.Data, before: before})
-		} else {
-			copy(before, s.image[r.Addr:end])
-			copy(s.image[r.Addr:end], r.Data)
-		}
+		copy(s.image[r.Addr:end], r.Data)
 		s.applied++
 
 	case wal.KindOpBegin:

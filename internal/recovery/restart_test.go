@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/heap"
+	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/wal"
 )
@@ -112,6 +113,22 @@ func updateRec(t *testing.T, db *core.DB, tb *heap.Table, slot uint32, data []by
 	return txn.ID()
 }
 
+// assertPhaseHistograms requires each recovery phase histogram in db's
+// registry to hold exactly one observation: the one recovery that opened
+// it.
+func assertPhaseHistograms(t *testing.T, db *core.DB) {
+	t.Helper()
+	snap := db.Observability().Snapshot()
+	for _, name := range []string{
+		obs.NameRecoveryScanNS, obs.NameRecoveryRedoNS, obs.NameRecoveryRebuildNS,
+		obs.NameRecoveryUndoNS, obs.NameRecoveryCheckpointNS,
+	} {
+		if n := snap.Histogram(name).Count; n != 1 {
+			t.Errorf("histogram %s count = %d after one recovery, want 1", name, n)
+		}
+	}
+}
+
 func TestOpenFreshDatabase(t *testing.T) {
 	cfg := testConfig(t, protect.Config{})
 	db, rep, err := Open(cfg, Options{})
@@ -151,6 +168,7 @@ func TestRecoveryCommittedSurvivesCrash(t *testing.T) {
 	if err := db2.Audit(); err != nil {
 		t.Fatalf("audit after recovery: %v", err)
 	}
+	assertPhaseHistograms(t, db2)
 }
 
 func TestRecoveryRollsBackIncompleteTxn(t *testing.T) {
@@ -408,6 +426,7 @@ func TestDeleteTxnRecoveryTracesIndirectCorruption(t *testing.T) {
 	if len(rep.FinalCorrupt) == 0 || len(rep.SeedCorrupt) == 0 {
 		t.Fatalf("corrupt ranges not reported: %+v", rep)
 	}
+	assertPhaseHistograms(t, db)
 }
 
 func TestDeleteTxnRecoveryCWModeWithoutAudit(t *testing.T) {

@@ -52,9 +52,6 @@ type Config struct {
 	LockTimeout time.Duration
 	Workers     int
 	FS          iofault.FS
-	// RedoWorkers bounds the partitioned parallel redo-apply pass during
-	// per-shard recovery (recovery.Options.RedoWorkers; 0 uses Workers).
-	RedoWorkers int
 	// ValueSize is the maximum value length of the KV store (default 120
 	// bytes; records are fixed-size, values are length-prefixed inside).
 	ValueSize int
@@ -236,7 +233,7 @@ func openUnit(cfg Config, i int) (*unit, *recovery.Report, error) {
 		existing = true
 	}
 	if existing {
-		db, rep, err := recovery.Open(ccfg, recovery.Options{RedoWorkers: cfg.RedoWorkers})
+		db, rep, err := recovery.Open(ccfg, recovery.Options{})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -240,32 +240,15 @@ func TestCrossShardCommitSurvivesReopen(t *testing.T) {
 // at least one transaction through the in-doubt path (prepared records
 // durable, decision applied or presumed abort at open).
 func TestCrossShardTortureEveryCrashPoint(t *testing.T) {
-	runCrossShardTorture(t, 0)
-}
-
-// TestCrossShardTortureEveryCrashPointParallelRedo reruns the campaign
-// with each shard recovering through the partitioned parallel redo-apply
-// at two workers: in-doubt 2PC resolution must reach the same outcomes as
-// with the serial replay.
-func TestCrossShardTortureEveryCrashPointParallelRedo(t *testing.T) {
-	runCrossShardTorture(t, 2)
-}
-
-func runCrossShardTorture(t *testing.T, redoWorkers int) {
 	if testing.Short() {
 		t.Skip("torture campaign is long; skipped with -short")
 	}
 
 	const K = 2
-	mkCfg := func(dir string) Config {
-		c := testConfig(t, dir, K)
-		c.RedoWorkers = redoWorkers
-		return c
-	}
 	seed := filepath.Join(t.TempDir(), "seed")
 
 	// Build the seed state once: baseline values for one key per shard.
-	cfg := mkCfg(seed)
+	cfg := testConfig(t, seed, K)
 	r, _ := mustOpen(t, cfg)
 	keys := crossShardKeys(t, r)
 	txn := r.Begin()
@@ -284,7 +267,7 @@ func runCrossShardTorture(t *testing.T, redoWorkers int) {
 	// scenario opens the work copy through the fault FS and runs the
 	// cross-shard update. Errors from the armed crash are expected.
 	scenario := func(work string, ffs *iofault.FaultFS) {
-		wcfg := mkCfg(work)
+		wcfg := testConfig(t, work, K)
 		wcfg.FS = ffs
 		wr, _, err := Open(wcfg)
 		if err != nil {
@@ -326,7 +309,7 @@ func runCrossShardTorture(t *testing.T, redoWorkers int) {
 		if err := ffs.MaterializeDurable(recoverDir); err != nil {
 			t.Fatalf("point %d: materialize: %v", k, err)
 		}
-		rr, rep, err := Open(mkCfg(recoverDir))
+		rr, rep, err := Open(testConfig(t, recoverDir, K))
 		if err != nil {
 			t.Fatalf("point %d: recovery open: %v", k, err)
 		}
