@@ -12,7 +12,7 @@ build:
 # Static checks plus a race-detector pass over the subsystems with the
 # most cross-goroutine state (metrics registry, WAL group commit, the
 # concurrent TPC-B driver, lock manager, restart recovery) at 1, 2 and
-# 4 procs, and a one-iteration smoke of the codeword kernel benchmarks.
+# 4 procs, and a one-iteration smoke of the kernel and ablation benchmarks.
 # hashidx, shard and wire stay off the -cpu sweep: the lock layer's S->X
 # conversion deadlock already makes server-smoke time out about one run
 # in six, and more procs would only add to that flake. dbvet is the
@@ -66,13 +66,15 @@ torture:
 	$(GO) test -race ./internal/iofault/...
 	$(GO) run ./cmd/faultstudy -disk
 
-# Compile-and-run smoke of the kernel/scan microbenchmarks (one iteration
-# each) plus vet and a race pass over the region package, whose pool and
-# latch paths are the most concurrency-sensitive code in the tree.
+# Compile-and-run smoke of the kernel/scan microbenchmarks and the root
+# ablation benchmarks (one iteration each), plus vet and a race pass over
+# the region package, whose pool and latch paths are the most
+# concurrency-sensitive code in the tree.
 bench-smoke:
 	$(GO) vet ./internal/region
 	$(GO) test -race ./internal/region
 	$(GO) test -run=xxx -bench=. -benchtime=1x ./internal/region
+	$(GO) test -run=xxx -bench=. -benchtime=1x .
 
 test:
 	$(GO) test ./...
@@ -92,7 +94,7 @@ table1:
 	$(GO) run ./cmd/protbench
 
 table2:
-	$(GO) run ./cmd/tpcbbench -ops 100000 -runs 9
+	python3 perfbench/run.py --workload table2
 
 faultstudy:
 	$(GO) run ./cmd/faultstudy -campaigns 25

@@ -1,220 +1,33 @@
-// Package repro's benchmarks regenerate the paper's evaluation with
-// testing.B harnesses — one benchmark family per published table — plus
-// ablation benches for the design choices DESIGN.md calls out.
+// Package repro's benchmarks are ablations of the design choices
+// DESIGN.md calls out: read-path cost per scheme, hardware protection by
+// storage layout, immediate vs deferred codeword maintenance, system-log
+// append, restart recovery and the scheme-level audit sweep.
 //
-//	go test -bench=. -benchmem
+//	go test -run=xxx -bench=. -benchmem
 //
-// Table 1 ("Performance of Protect/Unprotect", §5.1):
-//
-//	BenchmarkMprotectPairs/*
-//
-// Table 2 ("Cost of Corruption Protection", §5.3):
-//
-//	BenchmarkTPCB/*   (ops/sec per scheme; compare ns/op across schemes)
-//
-// Ablations: codeword fold throughput by region size, read precheck cost
-// by region size, read-log record overhead, audit sweep cost.
+// The paper's tables have their own runners: Table 1 is cmd/protbench
+// and Table 2 is the perfbench table2 workload. The codeword kernels and
+// region-level scans are benchmarked in internal/region.
 package repro
 
 import (
 	"fmt"
 	"os"
 	"testing"
-	"time"
 
-	"repro/internal/benchtab"
 	"repro/internal/core"
 	"repro/internal/heap"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/protect"
 	"repro/internal/recovery"
-	"repro/internal/region"
 	"repro/internal/tpcb"
 	"repro/internal/wal"
 )
 
-// --- Table 1: protect/unprotect pairs ---------------------------------------
-
-// BenchmarkMprotectPairs measures protect+unprotect pairs per second: the
-// real system call on this host, and the paper's four platforms modeled
-// by calibrated simulated protectors. One iteration = one pair.
-func BenchmarkMprotectPairs(b *testing.B) {
-	b.Run("real-mprotect-this-host", func(b *testing.B) {
-		arena, err := mem.NewArena(256*os.Getpagesize(), os.Getpagesize())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer arena.Close()
-		if !arena.Mmapped() {
-			b.Skip("no mmap on this platform")
-		}
-		prot, err := mem.NewMprotectProtector(arena)
-		if err != nil {
-			b.Skip(err)
-		}
-		pages := arena.NumPages()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := mem.PageID(i % pages)
-			if err := prot.Protect(p); err != nil {
-				b.Fatal(err)
-			}
-			if err := prot.Unprotect(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.StopTimer()
-		prot.UnprotectAll()
-		b.ReportMetric(float64(time.Second)/float64(b.Elapsed())*float64(b.N), "pairs/s")
-	})
-	for _, p := range benchtab.PaperTable1 {
-		p := p
-		b.Run("simulated-"+p.Platform, func(b *testing.B) {
-			perPair := time.Duration(float64(time.Second) / p.PairsPerSec)
-			sim := mem.NewSimProtector(256, perPair/2)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				id := mem.PageID(i % 256)
-				sim.Protect(id)
-				sim.Unprotect(id)
-			}
-			b.ReportMetric(float64(time.Second)/float64(b.Elapsed())*float64(b.N), "pairs/s")
-			b.ReportMetric(p.PairsPerSec, "paper-pairs/s")
-		})
-	}
-}
-
-// --- Table 2: TPC-B throughput per protection scheme -------------------------
-
 // benchScale keeps setup time moderate while staying out of cache effects;
 // history capacity is generous and recycled so b.N is unbounded.
 var benchScale = tpcb.Scale{Accounts: 20_000, Tellers: 2_000, Branches: 200, HistoryCap: 200_000}
-
-// BenchmarkTPCB runs one TPC-B style operation per iteration under each
-// of the paper's eight protection configurations (Table 2 rows). Relative
-// ns/op across sub-benchmarks reproduces the paper's slowdown column.
-func BenchmarkTPCB(b *testing.B) {
-	for _, spec := range benchtab.Table2Schemes(true /* real mprotect */) {
-		spec := spec
-		b.Run(sanitize(spec.Label), func(b *testing.B) {
-			dir := b.TempDir()
-			cfg := core.Config{
-				Dir:       dir,
-				ArenaSize: benchScale.ArenaSize(),
-				Protect:   spec.Protect,
-			}
-			// Regions larger than the default page need matching pages
-			// (Config.Validate requires whole regions per page).
-			if rs := spec.Protect.Defaulted().RegionSize; rs > 4096 {
-				cfg.PageSize = rs
-			}
-			db, err := core.Open(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer db.Close()
-			w, err := tpcb.Setup(db, benchScale, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			w.Recycle = true
-			txn, err := db.Begin()
-			if err != nil {
-				b.Fatal(err)
-			}
-			inTxn := 0
-			before := db.Metrics()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := w.Op(txn); err != nil {
-					b.Fatal(err)
-				}
-				if inTxn++; inTxn == tpcb.CommitEvery {
-					if err := txn.Commit(); err != nil {
-						b.Fatal(err)
-					}
-					if txn, err = db.Begin(); err != nil {
-						b.Fatal(err)
-					}
-					inTxn = 0
-				}
-			}
-			b.StopTimer()
-			if err := txn.Commit(); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "ops/s")
-			b.ReportMetric(spec.PaperSlowdown, "paper-%slower")
-			snap := db.Metrics()
-			delta := snap.Sub(before)
-			if calls := delta.Counter(obs.NameProtectCalls); calls > 0 && b.N > 0 {
-				b.ReportMetric(float64(calls)/2/float64(b.N), "pages/op")
-			}
-			if pre := delta.Counter(obs.NamePrecheckRegions); pre > 0 && b.N > 0 {
-				b.ReportMetric(float64(pre)/float64(b.N), "precheck-regions/op")
-			}
-			if fsync := snap.Histogram(obs.NameWALFsyncNS); fsync.Count > 0 {
-				b.ReportMetric(float64(fsync.Quantile(0.5))/1e3, "fsync-p50-us")
-			}
-			if gc := snap.Histogram(obs.NameWALGroupCommit); gc.Count > 0 {
-				b.ReportMetric(gc.Mean(), "grp-commit-recs")
-			}
-		})
-	}
-}
-
-// --- Ablations ----------------------------------------------------------------
-
-// BenchmarkCodewordCompute measures full-region codeword computation by
-// region size: the marginal cost of read prechecking per region touched
-// (explains the Precheck 64B/512B/8K ordering in Table 2).
-func BenchmarkCodewordCompute(b *testing.B) {
-	for _, size := range []int{64, 512, 8192} {
-		size := size
-		b.Run(fmt.Sprintf("region-%dB", size), func(b *testing.B) {
-			buf := make([]byte, size)
-			for i := range buf {
-				buf[i] = byte(i)
-			}
-			b.SetBytes(int64(size))
-			b.ResetTimer()
-			var sink region.Codeword
-			for i := 0; i < b.N; i++ {
-				sink ^= region.Compute(buf)
-			}
-			_ = sink
-		})
-	}
-}
-
-// BenchmarkCodewordMaintenance measures the incremental fold at endUpdate
-// for a typical balance update (8 bytes) and a whole record (100 bytes):
-// the marginal cost every codeword scheme pays per physical update.
-func BenchmarkCodewordMaintenance(b *testing.B) {
-	for _, n := range []int{8, 100} {
-		n := n
-		b.Run(fmt.Sprintf("update-%dB", n), func(b *testing.B) {
-			tab, err := region.NewTable(1<<20, 512)
-			if err != nil {
-				b.Fatal(err)
-			}
-			old := make([]byte, n)
-			new_ := make([]byte, n)
-			for i := range new_ {
-				new_[i] = byte(i + 1)
-			}
-			b.SetBytes(int64(n))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				addr := mem.Addr((i * 128) % (1<<20 - 256))
-				if err := tab.ApplyUpdate(addr, old, new_); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkAuditSweep measures a full-database audit by region size: the
 // asynchronous detection cost the Data Codeword scheme amortizes into
@@ -422,19 +235,6 @@ func BenchmarkLogAppendFlush(b *testing.B) {
 			}
 		}
 	}
-}
-
-func sanitize(s string) string {
-	out := make([]rune, 0, len(s))
-	for _, r := range s {
-		switch r {
-		case ' ', '/', ',':
-			out = append(out, '-')
-		default:
-			out = append(out, r)
-		}
-	}
-	return string(out)
 }
 
 // benchPhysRecord returns a representative physical record for log benches.

@@ -7,118 +7,37 @@
 // (the HP 9000 C110 has ~2x the SPECint92 of the SPARCstation 20 but
 // under a quarter of its mprotect throughput).
 //
-// It also benchmarks the codeword kernels and the parallel scan pipeline
-// (fold/compute/apply throughput, plus per-scheme audit and recompute
-// scans at a sweep of worker-pool widths with serial-vs-parallel
-// speedups) and writes the results as machine-readable JSON; the format
-// is documented in EXPERIMENTS.md.
-//
 // Usage:
 //
-//	protbench [-pages N] [-reps N] [-audit-workers LIST] [-recompute-workers LIST]
-//	          [-kernel-arena-mb N] [-json FILE] [-skip-table1] [-skip-kernels]
+//	protbench [-pages N] [-reps N]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/benchtab"
 )
 
-// parseWorkers parses a comma-separated width list like "1,2,4".
-func parseWorkers(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		w, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil || w < 1 {
-			return nil, fmt.Errorf("bad worker count %q", f)
-		}
-		out = append(out, w)
-	}
-	return out, nil
-}
-
 func main() {
 	pages := flag.Int("pages", 2000, "pages per repetition (paper: 2000)")
 	reps := flag.Int("reps", 50, "repetitions (paper: 50)")
-	auditWorkers := flag.String("audit-workers", defaultWidths(), "comma-separated audit pool widths to sweep (serial baseline of 1 always included)")
-	recomputeWorkers := flag.String("recompute-workers", defaultWidths(), "comma-separated recompute pool widths to sweep (serial baseline of 1 always included)")
-	kernelArenaMB := flag.Int("kernel-arena-mb", 16, "image size for the kernel scan benchmarks, MiB")
-	jsonPath := flag.String("json", "BENCH_pr3.json", "write the kernel report to this file (empty disables)")
-	eccJSONPath := flag.String("ecc-json", "BENCH_pr10.json", "write the ECC overhead report (apply vs apply-ecc) to this file (empty disables)")
-	skipTable1 := flag.Bool("skip-table1", false, "skip the Table 1 protect/unprotect benchmark")
-	skipKernels := flag.Bool("skip-kernels", false, "skip the codeword kernel/scan benchmark")
 	flag.Parse()
+	if *pages < 1 || *reps < 1 {
+		fmt.Fprintln(os.Stderr, "protbench: -pages and -reps must be at least 1")
+		flag.Usage()
+		os.Exit(2)
+	}
 
-	fail := func(err error) {
+	fmt.Println("Table 1: Performance of Protect/Unprotect")
+	fmt.Printf("(%d pages protected+unprotected, %d repetitions)\n\n", *pages, *reps)
+	rows, err := benchtab.RunTable1(*pages, *reps)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "protbench:", err)
 		os.Exit(1)
 	}
-
-	if !*skipTable1 {
-		fmt.Println("Table 1: Performance of Protect/Unprotect")
-		fmt.Printf("(%d pages protected+unprotected, %d repetitions)\n\n", *pages, *reps)
-		rows, err := benchtab.RunTable1(*pages, *reps)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(benchtab.FormatTable1(rows))
-		fmt.Println("\nSimulated rows are calibrated to the paper's measurements; the host row")
-		fmt.Println("is the real mprotect system call over an anonymous mapping.")
-	}
-
-	if !*skipKernels {
-		aw, err := parseWorkers(*auditWorkers)
-		if err != nil {
-			fail(err)
-		}
-		rw, err := parseWorkers(*recomputeWorkers)
-		if err != nil {
-			fail(err)
-		}
-		if !*skipTable1 {
-			fmt.Println()
-		}
-		rep, err := benchtab.RunKernels(benchtab.KernelParams{
-			ArenaBytes:       *kernelArenaMB << 20,
-			AuditWorkers:     aw,
-			RecomputeWorkers: rw,
-		})
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(benchtab.FormatKernels(rep))
-		if *jsonPath != "" {
-			if err := rep.WriteJSON(*jsonPath); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nkernel report written to %s\n", *jsonPath)
-		}
-		ecc := benchtab.ECCOverhead(rep)
-		fmt.Println()
-		fmt.Print(benchtab.FormatECC(ecc))
-		if *eccJSONPath != "" {
-			if err := ecc.WriteJSON(*eccJSONPath); err != nil {
-				fail(err)
-			}
-			fmt.Printf("\nECC overhead report written to %s\n", *eccJSONPath)
-		}
-	}
-}
-
-// defaultWidths sweeps 1..GOMAXPROCS by doubling (e.g. "1,2,4" on 4 CPUs).
-func defaultWidths() string {
-	var ws []string
-	for w := 1; w <= runtime.GOMAXPROCS(0); w *= 2 {
-		ws = append(ws, strconv.Itoa(w))
-	}
-	return strings.Join(ws, ",")
+	fmt.Print(benchtab.FormatTable1(rows))
+	fmt.Println("\nSimulated rows are calibrated to the paper's measurements; the host row")
+	fmt.Println("is the real mprotect system call over an anonymous mapping.")
 }

@@ -1,22 +1,19 @@
-// Package benchtab drives the paper's two experiments and formats their
-// results: Table 1 ("Performance of Protect/Unprotect", §5.1) and Table 2
-// ("Cost of Corruption Protection", §5.3). The same runners back the
-// cmd/protbench and cmd/tpcbbench tools and the testing.B benchmarks in
-// bench_test.go.
+// Package benchtab drives the paper's Table 1 ("Performance of
+// Protect/Unprotect", §5.1) for cmd/protbench, lists Table 2's eight
+// protection configurations ("Cost of Corruption Protection", §5.3) for
+// the perfbench harness and the fault study, and renders aligned text
+// tables.
 package benchtab
 
 import (
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/obs"
 	"repro/internal/protect"
-	"repro/internal/tpcb"
 )
 
 // Format renders an aligned text table.
@@ -160,20 +157,19 @@ func RunTable1(pages, reps int) ([]Table1Row, error) {
 	}
 
 	// Simulated platforms: per-call cost calibrated to the paper's
-	// pairs/second (one pair = two calls). Fewer repetitions suffice for
-	// the slow simulated platforms; throughput is cost-determined.
-	simReps := reps / 10
-	if simReps < 1 {
-		simReps = 1
-	}
+	// pairs/second (one pair = two calls). A tenth of the pages and
+	// repetitions suffices for the slow simulated platforms, whose
+	// throughput is cost-determined; both floor at 1 so small runs
+	// still measure something.
+	simPages, simReps := max(pages/10, 1), max(reps/10, 1)
 	for _, p := range PaperTable1 {
 		perPair := time.Duration(float64(time.Second) / p.PairsPerSec)
 		sim := mem.NewSimProtector(pages, perPair/2)
-		pps, err := MeasureMprotectPairs(sim, pages/10, simReps)
+		pps, err := MeasureMprotectPairs(sim, simPages, simReps)
 		if err != nil {
 			return nil, err
 		}
-		hist, err := MeasurePairHistogram(sim, pages/10, 1)
+		hist, err := MeasurePairHistogram(sim, simPages, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -250,230 +246,4 @@ func Table2Schemes(useRealMprotect bool) []SchemeSpec {
 		{Label: "Data CW w/Precheck, 8K byte", Direct: "Correct", Indirect: "Prevent",
 			Protect: protect.Config{Kind: protect.KindPrecheck, RegionSize: 8192}, PaperOps: 115, PaperSlowdown: 72.4},
 	}
-}
-
-// Table2Row is one measured row.
-type Table2Row struct {
-	SchemeSpec
-	// OpsPerSec is the median across runs (robust against the log-force
-	// jitter of shared machines; the per-run samples are also kept).
-	OpsPerSec  float64
-	Samples    []float64
-	PctSlower  float64
-	PagesPerOp float64 // protect-call pages touched per op (§5.3), HW only
-	// Obs is the metrics snapshot from the last run of this scheme
-	// (counters and histograms: fsync latency, group-commit batch size,
-	// audit durations, precheck traffic). See FormatObsSummary.
-	Obs obs.Snapshot
-}
-
-// Table2Params configures a Table 2 run.
-type Table2Params struct {
-	Scale tpcb.Scale
-	// Ops per run (paper: 50,000) and runs to average (paper: 6).
-	Ops  int
-	Runs int
-	// WorkDir for the per-run database directories (a temp dir when "").
-	WorkDir string
-	// UseRealMprotect selects real mprotect for the HW row.
-	UseRealMprotect bool
-	// Progress, when non-nil, receives per-run status lines.
-	Progress func(string)
-}
-
-func (p Table2Params) withDefaults() Table2Params {
-	if p.Ops == 0 {
-		p.Ops = 50_000
-	}
-	if p.Runs == 0 {
-		p.Runs = 6
-	}
-	if p.Scale.Accounts == 0 {
-		p.Scale = tpcb.PaperScale
-	}
-	return p
-}
-
-// RunTable2 measures the TPC-B throughput of every scheme and derives the
-// slowdown relative to the Baseline row, as in §5.3. Each (scheme, run)
-// pair uses a fresh database; setup (table load and initial checkpoint)
-// is excluded from the timed region. Runs are interleaved round-robin
-// across schemes so slow periods of a shared machine hit all schemes
-// alike, and the median across runs is reported.
-func RunTable2(params Table2Params) ([]Table2Row, error) {
-	params = params.withDefaults()
-	specs := Table2Schemes(params.UseRealMprotect)
-	rows := make([]Table2Row, len(specs))
-	for i, spec := range specs {
-		rows[i] = Table2Row{SchemeSpec: spec}
-	}
-	for run := 0; run < params.Runs; run++ {
-		for i, spec := range specs {
-			ops, pages, snap, err := runOne(params, spec, run)
-			if err != nil {
-				return nil, fmt.Errorf("benchtab: %s run %d: %w", spec.Label, run, err)
-			}
-			rows[i].Samples = append(rows[i].Samples, ops)
-			rows[i].Obs = snap
-			if pages > 0 {
-				rows[i].PagesPerOp = pages
-			}
-			if params.Progress != nil {
-				params.Progress(fmt.Sprintf("%-30s run %d/%d: %.0f ops/sec", spec.Label, run+1, params.Runs, ops))
-			}
-		}
-	}
-	for i := range rows {
-		rows[i].OpsPerSec = median(rows[i].Samples)
-	}
-	base := rows[0].OpsPerSec
-	for i := range rows {
-		rows[i].PctSlower = 100 * (1 - rows[i].OpsPerSec/base)
-	}
-	return rows, nil
-}
-
-// median of a non-empty sample set.
-func median(xs []float64) float64 {
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n == 0 {
-		return 0
-	}
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-func runOne(params Table2Params, spec SchemeSpec, run int) (opsPerSec, pagesPerOp float64, snap obs.Snapshot, err error) {
-	dir, err := os.MkdirTemp(params.WorkDir, "tpcb-*")
-	if err != nil {
-		return 0, 0, snap, err
-	}
-	defer os.RemoveAll(dir)
-	cfg := core.Config{
-		Dir:       dir,
-		ArenaSize: params.Scale.ArenaSize(),
-		Protect:   spec.Protect,
-	}
-	// The 8K-region row needs pages at least as large as its regions
-	// (core.Config.Validate requires whole regions per page).
-	if rs := spec.Protect.Defaulted().RegionSize; rs > 4096 {
-		cfg.PageSize = rs
-	}
-	db, err := core.Open(cfg)
-	if err != nil {
-		return 0, 0, snap, err
-	}
-	defer db.Close()
-	w, err := tpcb.Setup(db, params.Scale, int64(run)+1)
-	if err != nil {
-		return 0, 0, snap, err
-	}
-	before := db.Metrics()
-	start := time.Now()
-	if err := w.Run(params.Ops); err != nil {
-		return 0, 0, snap, err
-	}
-	elapsed := time.Since(start)
-	snap = db.Metrics()
-	calls := snap.Counter(obs.NameProtectCalls) - before.Counter(obs.NameProtectCalls)
-	if calls > 0 {
-		// Each touched page costs one unprotect + one protect call.
-		pagesPerOp = float64(calls) / 2 / float64(params.Ops)
-	}
-	return float64(params.Ops) / elapsed.Seconds(), pagesPerOp, snap, nil
-}
-
-// SpaceOverhead reports the codeword-table space cost of a scheme as a
-// fraction of the database size: one 8-byte codeword per protection
-// region (the time-space tradeoff of §5.3 — smaller regions precheck
-// faster but cost more space).
-func (s SchemeSpec) SpaceOverhead() float64 {
-	rs := s.Protect.Defaulted().RegionSize
-	if s.Protect.Kind == protect.KindBaseline || s.Protect.Kind == protect.KindHW {
-		return 0
-	}
-	return 8 / float64(rs)
-}
-
-// FormatObsSummary renders the per-scheme engine internals captured in
-// each row's obs snapshot: log-fsync latency (p50/p99), group-commit batch
-// size, audit-pass durations, and precheck/fold traffic. These are the
-// mechanisms behind Table 2's throughput differences — e.g. the 8K
-// precheck row's slowdown shows up directly as precheck region counts.
-func FormatObsSummary(rows []Table2Row) string {
-	ms := func(h obs.HistogramSnapshot, q float64) string {
-		if h.Count == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.2f", float64(h.Quantile(q))/1e6)
-	}
-	count := func(s obs.Snapshot, name string) string {
-		v := s.Counter(name)
-		if v == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%d", v)
-	}
-	var out [][]string
-	for _, r := range rows {
-		s := r.Obs
-		fsync := s.Histogram(obs.NameWALFsyncNS)
-		gc := s.Histogram(obs.NameWALGroupCommit)
-		audit := s.Histogram(obs.NameAuditPassNS)
-		gcMean := "-"
-		if gc.Count > 0 {
-			gcMean = fmt.Sprintf("%.1f", gc.Mean())
-		}
-		auditMean := "-"
-		if audit.Count > 0 {
-			auditMean = fmt.Sprintf("%.2f", audit.Mean()/1e6)
-		}
-		out = append(out, []string{
-			r.Label,
-			fmt.Sprintf("%d", fsync.Count),
-			ms(fsync, 0.5), ms(fsync, 0.99),
-			gcMean,
-			fmt.Sprintf("%d", audit.Count), auditMean,
-			count(s, obs.NamePrecheckRegions),
-			count(s, obs.NamePrecheckFailures),
-			count(s, obs.NameRegionFolds),
-			count(s, obs.NameCWCaptures),
-		})
-	}
-	return Format([]string{
-		"Algorithm", "fsyncs", "fsync p50 ms", "fsync p99 ms",
-		"grp-commit recs", "audits", "audit ms", "prechecks",
-		"precheck fails", "cw folds", "cw captures",
-	}, out)
-}
-
-// FormatTable2 renders measured rows next to the paper's Table 2.
-func FormatTable2(rows []Table2Row) string {
-	var out [][]string
-	for _, r := range rows {
-		pages := ""
-		if r.PagesPerOp > 0 {
-			pages = fmt.Sprintf("%.1f", r.PagesPerOp)
-		}
-		space := ""
-		if so := r.SpaceOverhead(); so > 0 {
-			space = fmt.Sprintf("%.2f%%", so*100)
-		}
-		out = append(out, []string{
-			r.Label, r.Direct, r.Indirect,
-			fmt.Sprintf("%.0f", r.OpsPerSec),
-			fmt.Sprintf("%.1f%%", r.PctSlower),
-			fmt.Sprintf("%.0f", r.PaperOps),
-			fmt.Sprintf("%.1f%%", r.PaperSlowdown),
-			pages, space,
-		})
-	}
-	return Format([]string{
-		"Algorithm", "Direct", "Indirect", "Ops/Sec", "% Slower",
-		"paper Ops/Sec", "paper % Slower", "pages/op", "cw space",
-	}, out)
 }

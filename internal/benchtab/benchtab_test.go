@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/tpcb"
 )
 
 func TestFormatAligns(t *testing.T) {
@@ -99,6 +98,23 @@ func TestRunTable1SmokeAndOrdering(t *testing.T) {
 	t.Fatalf("platform ordering broken after retries: %s", last)
 }
 
+func TestRunTable1FewPagesMeasuresEveryRow(t *testing.T) {
+	// Fewer than ten pages: the simulated sweep covers a tenth of them,
+	// which must still be at least one page.
+	rows, err := RunTable1(5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) < len(PaperTable1) {
+		t.Fatalf("rows = %d, want at least %d", len(rows), len(PaperTable1))
+	}
+	for _, r := range rows {
+		if !(r.PairsPerSec > 0) {
+			t.Errorf("%s: pairs/s = %v", r.Platform, r.PairsPerSec)
+		}
+	}
+}
+
 func TestTable2SchemesMatchPaperRows(t *testing.T) {
 	specs := Table2Schemes(false)
 	if len(specs) != 8 {
@@ -112,43 +128,5 @@ func TestTable2SchemesMatchPaperRows(t *testing.T) {
 		if specs[i].PaperSlowdown <= specs[i-1].PaperSlowdown {
 			t.Fatalf("paper slowdown not increasing at row %d", i)
 		}
-	}
-}
-
-func TestRunTable2Smoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	rows, err := RunTable2(Table2Params{
-		Scale: tpcb.SmallScale,
-		Ops:   500,
-		Runs:  1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	if rows[0].PctSlower != 0 {
-		t.Fatalf("baseline slowdown = %f", rows[0].PctSlower)
-	}
-	for _, r := range rows {
-		if r.OpsPerSec <= 0 {
-			t.Fatalf("%s: ops/sec = %f", r.Label, r.OpsPerSec)
-		}
-	}
-	// The hardware row must report pages touched per operation (§5.3).
-	var hwPages float64
-	for _, r := range rows {
-		if r.Label == "Memory Protection" {
-			hwPages = r.PagesPerOp
-		}
-	}
-	if hwPages < 3 {
-		t.Fatalf("pages/op = %.1f, expected several pages per operation", hwPages)
-	}
-	if FormatTable2(rows) == "" {
-		t.Fatal("empty table")
 	}
 }

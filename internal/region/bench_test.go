@@ -109,25 +109,36 @@ func applyUpdateGeneric(t *Table, scratch []byte, addr mem.Addr, oldData, newDat
 
 // BenchmarkApplyUpdate measures incremental codeword maintenance for an
 // unaligned update of one region's worth of bytes (the update straddles a
-// region boundary, exercising the split + phase-rotation path).
+// region boundary, exercising the split + phase-rotation path). With
+// ecc=on the table also maintains the ECC locator planes, which the fused
+// kernel derives from the per-word delta it already computes, so ecc=on
+// against ecc=off at one size is the whole marginal cost of correction
+// over detection.
 func BenchmarkApplyUpdate(b *testing.B) {
 	const arenaSize = 1 << 20
 	for _, size := range benchSizes {
-		tab, err := NewTable(arenaSize, size)
-		if err != nil {
-			b.Fatal(err)
-		}
 		oldData := benchData(size, 3)
 		newData := benchData(size, 4)
 		addr := mem.Addr(size/2 + 3) // unaligned, straddles a region boundary
-		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := tab.ApplyUpdate(addr, oldData, newData); err != nil {
-					b.Fatal(err)
-				}
+		for _, ecc := range []bool{false, true} {
+			tab, err := NewTable(arenaSize, size)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			mode := "off"
+			if ecc {
+				tab.EnableECC()
+				mode = "on"
+			}
+			b.Run(fmt.Sprintf("size=%d/ecc=%s", size, mode), func(b *testing.B) {
+				b.SetBytes(int64(size))
+				for i := 0; i < b.N; i++ {
+					if err := tab.ApplyUpdate(addr, oldData, newData); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

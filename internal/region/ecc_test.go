@@ -36,6 +36,22 @@ func smashWord(a *mem.Arena, tab *Table, r, w int, delta uint64) {
 	binary.LittleEndian.PutUint64(buf, binary.LittleEndian.Uint64(buf)^delta)
 }
 
+// foldDeltaPlanesRef is the byte-at-a-time reference for the fused
+// cw+plane delta fold: the byte at data offset j sits at region-relative
+// byte offset rel*8+phase+j, i.e. in word (rel*8+phase+j)/8 at lane
+// (rel*8+phase+j) mod 8. TestFoldDeltaPlanesMatchesRef checks
+// foldDeltaPlanes against it.
+func foldDeltaPlanesRef(planes []uint64, rel int, old, new []byte, phase int) Codeword {
+	var cw uint64
+	for j := range old {
+		off := rel*8 + (phase & 7) + j
+		d := uint64(old[j]^new[j]) << (uint(off&7) * 8)
+		cw ^= d
+		xorPlanes(planes, off>>3, d)
+	}
+	return Codeword(cw)
+}
+
 // TestFoldDeltaPlanesMatchesRef cross-checks the fused cw+plane delta
 // kernel against the byte-at-a-time reference, and its codeword result
 // against the existing rotate-trick delta kernel, for every phase and

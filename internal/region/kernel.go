@@ -18,11 +18,12 @@
 // offsets need no memory alignment for the loads, and the tail starts at
 // a multiple of 8, so its first byte is again at lane p.
 //
-// The byte-at-a-time reference kernels (foldGeneric, computeGeneric) are
-// retained verbatim as the specification: the differential tests in
-// kernel_test.go cross-check the fast kernels against them for every
-// phase and length, and the microbenchmarks in bench_test.go report the
-// speedup.
+// foldGeneric, the byte-at-a-time fold, is both the specification and the
+// tail loop the fast kernels share. The other reference kernels
+// (computeGeneric, foldDeltaPlanesRef) exist only for the differential
+// tests in kernel_test.go and ecc_test.go, which cross-check the fast
+// kernels against them for every phase and length; the microbenchmarks in
+// bench_test.go report the speedup.
 package region
 
 import (
@@ -31,8 +32,8 @@ import (
 )
 
 // foldGeneric is the byte-at-a-time reference fold: XOR data into cw
-// starting at byte lane phase (0..7). Retained as the specification for
-// the word-at-a-time kernels.
+// starting at byte lane phase (0..7). It is the specification for the
+// word-at-a-time kernels and folds their sub-word tails.
 func foldGeneric(cw Codeword, data []byte, phase int) Codeword {
 	lane := uint(phase&7) * 8
 	for _, b := range data {
@@ -43,11 +44,6 @@ func foldGeneric(cw Codeword, data []byte, phase int) Codeword {
 		}
 	}
 	return cw
-}
-
-// computeGeneric is the byte-at-a-time reference for Compute.
-func computeGeneric(data []byte) Codeword {
-	return foldGeneric(0, data, 0)
 }
 
 // foldWords XORs the 8-byte little-endian words of data[0:8*(len/8)] and
@@ -136,22 +132,6 @@ func xorPlanes(planes []uint64, w int, d uint64) {
 			planes[j] ^= d
 		}
 	}
-}
-
-// foldDeltaPlanesRef is the byte-at-a-time reference for the fused
-// cw+plane delta fold: the byte at data offset j sits at region-relative
-// byte offset rel*8+phase+j, i.e. in word (rel*8+phase+j)/8 at lane
-// (rel*8+phase+j) mod 8. Retained as the specification the differential
-// tests check foldDeltaPlanes against.
-func foldDeltaPlanesRef(planes []uint64, rel int, old, new []byte, phase int) Codeword {
-	var cw uint64
-	for j := range old {
-		off := rel*8 + (phase & 7) + j
-		d := uint64(old[j]^new[j]) << (uint(off&7) * 8)
-		cw ^= d
-		xorPlanes(planes, off>>3, d)
-	}
-	return Codeword(cw)
 }
 
 // foldDeltaPlanes is the fused ECC delta kernel: one pass over old/new

@@ -8,6 +8,11 @@ import (
 	"repro/internal/mem"
 )
 
+// computeGeneric is the byte-at-a-time reference for Compute.
+func computeGeneric(data []byte) Codeword {
+	return foldGeneric(0, data, 0)
+}
+
 // TestKernelFoldMatchesGeneric cross-checks the word-at-a-time Fold
 // against the retained byte-at-a-time reference for every phase and every
 // length around the kernel's unroll boundaries, then property-checks

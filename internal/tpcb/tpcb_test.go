@@ -10,11 +10,16 @@ import (
 
 func setupSmall(t *testing.T, pc protect.Config) (*core.DB, *Workload) {
 	t.Helper()
-	db, err := core.Open(core.Config{
+	cfg := core.Config{
 		Dir:       t.TempDir(),
 		ArenaSize: SmallScale.ArenaSize(),
 		Protect:   pc,
-	})
+	}
+	if rs := pc.Defaulted().RegionSize; rs > 4096 {
+		// Pages must hold whole regions (core.Config.Validate).
+		cfg.PageSize = rs
+	}
+	db, err := core.Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,17 +71,26 @@ func TestRunMovesBalancesConsistently(t *testing.T) {
 	}
 }
 
+// TestRunAcrossAllSchemes runs the workload under every scheme, and
+// under Read Prechecking at each of Table 2's three region sizes: the
+// 8 KiB row needs 8 KiB pages.
 func TestRunAcrossAllSchemes(t *testing.T) {
-	for _, pc := range []protect.Config{
-		{Kind: protect.KindBaseline},
-		{Kind: protect.KindDataCW, RegionSize: 512},
-		{Kind: protect.KindPrecheck, RegionSize: 64},
-		{Kind: protect.KindReadLog, RegionSize: 512},
-		{Kind: protect.KindCWReadLog, RegionSize: 64},
-		{Kind: protect.KindDeferredCW, RegionSize: 512},
-		{Kind: protect.KindHW, ForceSimProtect: true},
+	for _, tc := range []struct {
+		name string
+		pc   protect.Config
+	}{
+		{"baseline", protect.Config{Kind: protect.KindBaseline}},
+		{"data-cw", protect.Config{Kind: protect.KindDataCW, RegionSize: 512}},
+		{"precheck", protect.Config{Kind: protect.KindPrecheck, RegionSize: 64}},
+		{"precheck-512", protect.Config{Kind: protect.KindPrecheck, RegionSize: 512}},
+		{"precheck-8192", protect.Config{Kind: protect.KindPrecheck, RegionSize: 8192}},
+		{"read-log", protect.Config{Kind: protect.KindReadLog, RegionSize: 512}},
+		{"cw-read-log", protect.Config{Kind: protect.KindCWReadLog, RegionSize: 64}},
+		{"deferred-cw", protect.Config{Kind: protect.KindDeferredCW, RegionSize: 512}},
+		{"hw-protect", protect.Config{Kind: protect.KindHW, ForceSimProtect: true}},
 	} {
-		t.Run(pc.Kind.String(), func(t *testing.T) {
+		pc := tc.pc
+		t.Run(tc.name, func(t *testing.T) {
 			_, w := setupSmall(t, pc)
 			if err := w.Run(600); err != nil {
 				t.Fatal(err)
