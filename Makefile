@@ -11,8 +11,10 @@ build:
 
 # Static checks plus a race-detector pass over the subsystems with the
 # most cross-goroutine state (metrics registry, WAL group commit, the
-# concurrent TPC-B driver, lock manager, restart recovery) at 1, 2 and
-# 4 procs, and a one-iteration smoke of the kernel and ablation benchmarks.
+# concurrent TPC-B driver, lock manager, restart recovery) and over the
+# scan code (protection schemes, checkpoint writer, codeword tables) at
+# 1, 2 and 4 procs, and a one-iteration smoke of the kernel and ablation
+# benchmarks.
 # hashidx, shard and wire stay off the -cpu sweep: the lock layer's S->X
 # conversion deadlock already makes server-smoke time out about one run
 # in six, and more procs would only add to that flake. dbvet is the
@@ -29,7 +31,7 @@ vet: bench-smoke torture-smoke server-smoke heal-smoke
 	$(GO) vet ./...
 	$(GO) run ./cmd/dbvet ./...
 	$(GO) run ./cmd/dbvet -stats -debt-baseline dbvet.debt.json ./...
-	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/wal ./internal/obs ./internal/tpcb ./internal/lockmgr ./internal/recovery
+	$(GO) test -race -cpu 1,2,4 ./internal/core ./internal/wal ./internal/obs ./internal/tpcb ./internal/lockmgr ./internal/recovery ./internal/protect ./internal/ckpt ./internal/region
 
 # End-to-end smoke of the TCP front end: a K=4 sharded server takes a
 # concurrent mixed load over the wire protocol, drains gracefully, and
@@ -68,8 +70,9 @@ torture:
 
 # Compile-and-run smoke of the kernel/scan microbenchmarks and the root
 # ablation benchmarks (one iteration each), plus vet and a race pass over
-# the region package, whose pool and latch paths are the most
-# concurrency-sensitive code in the tree.
+# the region package, whose codeword and ECC-plane latching is the most
+# concurrency-sensitive code in the tree. Every scan runs on its caller,
+# so the race pass exercises the same code paths at any core count.
 bench-smoke:
 	$(GO) vet ./internal/region
 	$(GO) test -race ./internal/region

@@ -38,7 +38,6 @@ func main() {
 	arena := flag.Int("arena", 1<<22, "arena bytes per shard")
 	value := flag.Int("value", 120, "max value bytes")
 	capacity := flag.Int("cap", 4096, "record capacity per shard")
-	workers := flag.Int("workers", 0, "scan-pool workers per shard (0 = default)")
 	lockTO := flag.Duration("locktimeout", 2*time.Second, "lock-wait timeout")
 	maxConns := flag.Int("maxconns", 64, "max concurrent connections")
 	idle := flag.Duration("idle", 5*time.Minute, "per-connection idle timeout")
@@ -50,6 +49,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	if *maxConns < 1 || *idle <= 0 || *grace < 0 {
+		fmt.Fprintln(os.Stderr, "dbserver: -maxconns must be at least 1, -idle positive and -grace not negative")
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	router, report, err := shard.Open(shard.Config{
 		Dir:         *dir,
@@ -57,7 +61,6 @@ func main() {
 		ArenaSize:   *arena,
 		ValueSize:   *value,
 		Capacity:    *capacity,
-		Workers:     *workers,
 		LockTimeout: *lockTO,
 	})
 	if err != nil {

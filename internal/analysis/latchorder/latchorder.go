@@ -184,7 +184,8 @@ func (c *checker) returnsLatchClass(fn *types.Func, infos map[*types.Func]*fnInf
 
 // summarize computes a function body's direct latch acquisitions
 // (including inside closures, which run under the function's latch
-// regime when handed to the worker pool) and its resolvable callees.
+// regime when handed to a helper such as the schemes' audit loop) and
+// its resolvable callees.
 func (c *checker) summarize(body *ast.BlockStmt) *fnInfo {
 	info := &fnInfo{acquires: make(map[string]bool)}
 	ast.Inspect(body, func(n ast.Node) bool {

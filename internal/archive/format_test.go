@@ -35,7 +35,6 @@ func goldenWorkload(t *testing.T) (dir, arc string) {
 	cfg := core.Config{
 		Dir:       dir,
 		ArenaSize: 1 << 17,
-		Workers:   1,
 		Protect:   protect.Config{Kind: protect.KindCWReadLog, RegionSize: 64},
 	}
 	db, err := core.Open(cfg)
@@ -258,7 +257,6 @@ func TestRefuseMultiStreamLayout(t *testing.T) {
 	cfg := core.Config{
 		Dir:       dir,
 		ArenaSize: 1 << 17,
-		Workers:   1,
 		Protect:   protect.Config{Kind: protect.KindCWReadLog, RegionSize: 64},
 	}
 	fsys := iofault.OS

@@ -120,9 +120,6 @@ type Set struct {
 	fs       iofault.FS
 	dir      string
 	pageSize int
-	// pool chunks the per-page codeword computation of Write across
-	// workers; nil (until SetPool) keeps it on the calling goroutine.
-	pool *region.Pool
 
 	mu          sync.Mutex
 	dirty       [2]pageSet // pages dirtied since image i was last written
@@ -149,20 +146,6 @@ func (s *Set) SetRegistry(reg *obs.Registry) {
 	s.mBytes = reg.Counter(obs.NameCkptBytesWritten)
 	s.mSkips = reg.Counter(obs.NameCkptDirtyClean)
 	s.mDirSyncs = reg.Counter(obs.NameCkptDirSyncs)
-}
-
-// SetPool attaches the worker pool used to compute the written pages'
-// codewords. Must be called before concurrent use (core wires the
-// database's shared scan pool in here).
-func (s *Set) SetPool(p *region.Pool) { s.pool = p }
-
-// pageGrain is the minimum number of pages per parallel chunk, chosen so
-// each chunk covers at least 64 KiB of image.
-func pageGrain(pageSize int) int {
-	if g := (64 << 10) / pageSize; g > 1 {
-		return g
-	}
-	return 1
 }
 
 // Open prepares checkpoint management in dir, reading the anchor if one
@@ -312,18 +295,13 @@ func (s *Set) Write(snap *Snapshot, arenaSize int) error {
 	}
 
 	// Maintain the image's per-page codeword table: entries for the pages
-	// written this checkpoint, carried-over entries for the rest. The
-	// per-page Compute calls are independent, so they are chunked across
-	// the scan pool (reading the snapshot's page map concurrently is safe:
-	// it is immutable by now); only the table install runs under the
-	// mutex.
+	// written this checkpoint, carried-over entries for the rest. Only the
+	// table install runs under the mutex.
 	numPages := arenaSize / s.pageSize
 	written := make([]region.Codeword, len(ids))
-	s.pool.Run(len(ids), pageGrain(s.pageSize), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			written[i] = region.Compute(snap.Pages[ids[i]])
-		}
-	})
+	for i, id := range ids {
+		written[i] = region.Compute(snap.Pages[id])
+	}
 	s.mu.Lock()
 	if s.pageCW[snap.image] == nil {
 		if len(snap.Pages) < numPages {
@@ -552,23 +530,10 @@ func loadImage(fsys iofault.FS, dir string, image int) (wal.LSN, []byte, []*wal.
 		return 0, nil, nil, nil, fmt.Errorf("ckpt: %s carries a log stream vector: %w", metaName(image), wal.ErrMultiStreamLog)
 	}
 	pageSize := len(img) / numPages
-	// The verification scan is pure (no state but the image bytes), so it
-	// is chunked across the process-wide default pool; each chunk reports
-	// its lowest corrupt page so the error is deterministic.
-	badChunks := region.RunChunked(region.DefaultPool(), numPages, pageGrain(pageSize), func(lo, hi int) int {
-		for id := lo; id < hi; id++ {
-			stored := region.Codeword(binary.LittleEndian.Uint64(body[pos+8*id:]))
-			actual := region.Compute(img[id*pageSize : (id+1)*pageSize])
-			if stored != actual {
-				return id
-			}
-		}
-		return -1
-	})
-	for _, id := range badChunks {
-		if id >= 0 {
-			stored := region.Codeword(binary.LittleEndian.Uint64(body[pos+8*id:]))
-			actual := region.Compute(img[id*pageSize : (id+1)*pageSize])
+	for id := 0; id < numPages; id++ {
+		stored := region.Codeword(binary.LittleEndian.Uint64(body[pos+8*id:]))
+		actual := region.Compute(img[id*pageSize : (id+1)*pageSize])
+		if stored != actual {
 			return 0, nil, nil, nil, fmt.Errorf("%w: image page %d (stored %016x, actual %016x)",
 				ErrImageCorrupt, id, uint64(stored), uint64(actual))
 		}

@@ -57,12 +57,11 @@ func (db *DB) BeginAuditPass() (*AuditPass, error) {
 
 // Step audits the next maxBytes of the image (rounded to whole protection
 // regions by the scheme) and reports whether the pass has covered the
-// whole database. Mismatches accumulate until Finish. The slice itself is
-// chunked across the database's scan worker pool by the scheme's
-// AuditRange (each worker still takes the per-region protection latch the
-// scheme prescribes), so a full-database Step — the checkpointer's
-// certification audit — scales with Config.Workers while an incremental
-// background pass keeps its small, bounded-latency slices.
+// whole database. Mismatches accumulate until Finish. The scheme's
+// AuditRange scans the slice on the calling goroutine, taking the
+// per-region protection latch the scheme prescribes. A full-database Step
+// is the checkpointer's certification audit; a background pass keeps its
+// slices small to bound latency.
 func (p *AuditPass) Step(maxBytes int) (done bool, err error) {
 	if p.finished {
 		return true, fmt.Errorf("core: audit pass already finished")

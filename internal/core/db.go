@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -50,12 +49,6 @@ type Config struct {
 	// DisableLogCompaction keeps the full stable log after checkpoints
 	// instead of compacting records below the certified CK_end.
 	DisableLogCompaction bool
-	// Workers sizes the shared scan worker pool used by startup/recovery
-	// codeword recompute, audit sweeps (foreground, background and
-	// checkpoint certification) and checkpoint-image codeword
-	// computation. 0 defaults to GOMAXPROCS; 1 keeps every scan on the
-	// calling goroutine.
-	Workers int
 	// FS routes the durability I/O (system log, checkpoint images and
 	// anchor, archives) through an iofault.FS. nil defaults to the real
 	// filesystem; storage-fault campaigns install an iofault.FaultFS here.
@@ -63,19 +56,15 @@ type Config struct {
 }
 
 // Normalized returns cfg with unset fields defaulted (PageSize 4096,
-// LockTimeout 2s, Workers GOMAXPROCS) and validates the result. It
-// replaces the old silent WithDefaults mutation: an impossible
-// configuration is reported as a descriptive error instead of a
-// downstream panic.
+// LockTimeout 2s) and validates the result. It replaces the old silent
+// WithDefaults mutation: an impossible configuration is reported as a
+// descriptive error instead of a downstream panic.
 func (c Config) Normalized() (Config, error) {
 	if c.PageSize == 0 {
 		c.PageSize = 4096
 	}
 	if c.LockTimeout == 0 {
 		c.LockTimeout = 2 * time.Second
-	}
-	if c.Workers == 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.FS == nil {
 		c.FS = iofault.OS
@@ -103,9 +92,6 @@ func (c Config) Validate() error {
 	}
 	if c.LockTimeout < 0 {
 		return fmt.Errorf("core: config: LockTimeout must not be negative, got %v", c.LockTimeout)
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("core: config: Workers must not be negative, got %d", c.Workers)
 	}
 	pc := c.Protect.Defaulted()
 	if schemeHasCodewords(pc.Kind) {
@@ -171,9 +157,6 @@ type DB struct {
 	att    *wal.ATT
 	locks  *lockmgr.Manager
 	ckpts  *ckpt.Set
-	// pool is the shared scan worker pool (Config.Workers): recompute,
-	// audit sweeps and checkpoint codeword computation all draw from it.
-	pool *region.Pool
 
 	// barrier is the update barrier: every state-changing bracket
 	// (BeginUpdate..End, operation begin/commit, transaction begin/
@@ -273,11 +256,8 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		//dbvet:allow guardedwrite recovered image is installed before protection is armed
 		copy(arena.Bytes(), loaded.Image)
 	}
-	pool := region.NewPool(cfg.Workers)
-	pool.Instrument(reg)
 	pcfg := cfg.Protect
 	pcfg.Obs = reg
-	pcfg.Pool = pool
 	// The scheme is built before the DB exists, so its OnHeal callback
 	// late-binds to the db variable assigned below; no heal can fire
 	// before construction completes (nothing calls Heal until then).
@@ -305,7 +285,6 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		return nil, err
 	}
 	ckpts.SetRegistry(reg)
-	ckpts.SetPool(pool)
 	log.RegisterDirtyNoter(ckpts)
 	locks := lockmgr.New(cfg.LockTimeout)
 	locks.SetRegistry(reg)
@@ -318,7 +297,6 @@ func build(cfg Config, loaded *RecoveredState) (*DB, error) {
 		att:    wal.NewATT(1),
 		locks:  locks,
 		ckpts:  ckpts,
-		pool:   pool,
 		meta:   make(map[string][]byte),
 		attach: make(map[*attachID]any),
 
@@ -415,7 +393,6 @@ type Internals struct {
 	ATT         *wal.ATT
 	Locks       *lockmgr.Manager
 	Checkpoints *ckpt.Set
-	ScanPool    *region.Pool
 }
 
 // Internals returns the internal-subsystem bundle. Prefer the
@@ -428,7 +405,6 @@ func (db *DB) Internals() Internals {
 		ATT:         db.att,
 		Locks:       db.locks,
 		Checkpoints: db.ckpts,
-		ScanPool:    db.pool,
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"errors"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -30,7 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"non-power-of-two page", Config{ArenaSize: 1 << 16, PageSize: 3000}, "PageSize"},
 		{"negative page", Config{ArenaSize: 1 << 16, PageSize: -4096}, "PageSize"},
 		{"negative lock timeout", Config{ArenaSize: 1 << 16, LockTimeout: -time.Second}, "LockTimeout"},
-		{"negative workers", Config{ArenaSize: 1 << 16, Workers: -2}, "Workers"},
 		{"page smaller than region", Config{
 			ArenaSize: 1 << 16, PageSize: 4096,
 			Protect: protect.Config{Kind: protect.KindPrecheck, RegionSize: 8192},
@@ -61,31 +59,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := big.Validate(); err != nil {
 		t.Fatalf("8K region with 8K pages rejected: %v", err)
-	}
-}
-
-// TestConfigWorkers checks the scan-pool sizing knob: 0 defaults to
-// GOMAXPROCS, an explicit count is honored, and the pool is wired into
-// the open database.
-func TestConfigWorkers(t *testing.T) {
-	norm, err := Config{ArenaSize: 1 << 16}.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := runtime.GOMAXPROCS(0); norm.Workers != want {
-		t.Fatalf("Workers defaulted to %d, want GOMAXPROCS=%d", norm.Workers, want)
-	}
-	db, err := Open(Config{Dir: t.TempDir(), ArenaSize: 1 << 16, Workers: 3,
-		Protect: protect.Config{Kind: protect.KindDataCW, RegionSize: 64}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	if got := db.Internals().ScanPool.Workers(); got != 3 {
-		t.Fatalf("database scan pool has %d workers, want 3", got)
-	}
-	if err := db.Audit(); err != nil {
-		t.Fatalf("audit through the sized pool: %v", err)
 	}
 }
 

@@ -66,7 +66,6 @@ func SmokeConfig() Config {
 }
 
 // CoreConfig is the database configuration the workload runs under:
-// single-threaded scan pool (fully deterministic I/O-point sequence),
 // data codewords with small regions, and no log compaction — retaining
 // the log keeps the older ping-pong image recoverable, which the
 // torn-page fallback path depends on.
@@ -76,7 +75,6 @@ func CoreConfig(dir string, fsys iofault.FS, c Config) core.Config {
 		ArenaSize:            c.ArenaSize,
 		PageSize:             c.PageSize,
 		Protect:              protect.Config{Kind: protect.KindDataCW, RegionSize: 64},
-		Workers:              1,
 		DisableLogCompaction: true,
 		FS:                   fsys,
 	}

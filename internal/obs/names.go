@@ -69,14 +69,11 @@ const (
 	NameRegionCWContends    = "region.cwlatch_contended"
 	NameRegionDeferredQueue = "region.deferred_pending" // gauge: queued deltas (DeferredCW)
 
-	// internal/region — the shared scan worker pool and the throughput of
-	// its parallel recompute/audit scans.
-	NameRegionPoolWorkers  = "region.pool_workers"            // gauge: configured pool size
-	NameRegionPoolQueue    = "region.pool_queue_depth"        // gauge: chunks queued, not yet claimed
-	NameRegionPoolChunks   = "region.pool_chunks"             // chunks executed by pool workers
-	NameRegionPoolScans    = "region.pool_scans"              // parallel scans dispatched
-	NameRegionRecomputeBPS = "region.recompute_bytes_per_sec" // histogram: per-worker-chunk throughput
-	NameRegionAuditBPS     = "region.audit_bytes_per_sec"     // histogram: per-worker-chunk throughput
+	// internal/region — throughput of the codeword table's own scans:
+	// RecomputeAll, and AuditRange over a raw table. The schemes' audits
+	// check one region per latch hold and record no sample.
+	NameRegionRecomputeBPS = "region.recompute_bytes_per_sec" // histogram: per-scan throughput
+	NameRegionAuditBPS     = "region.audit_bytes_per_sec"     // histogram: per-scan throughput
 
 	// internal/protect — scheme-specific costs.
 	NamePrecheckRegions    = "protect.precheck_regions" // regions verified before reads

@@ -30,7 +30,6 @@ type codewordScheme struct {
 	arena *mem.Arena
 	tab   *region.Table
 	prot  *latch.Striped //dbvet:latch protection — the paper's protection latches
-	pool  *region.Pool   // workers for whole-arena scans (recompute, audit)
 
 	onHeal func(region.RepairResult, time.Duration)
 
@@ -46,13 +45,11 @@ func newCodewordScheme(arena *mem.Arena, cfg Config) (*codewordScheme, error) {
 		kind:        cfg.Kind,
 		arena:       arena,
 		tab:         tab,
-		prot:        latch.NewStriped(min(cfg.LatchStripes, tab.NumRegions())),
-		pool:        cfg.Pool,
+		prot:        latch.NewStriped(min(latchStripes, tab.NumRegions())),
 		onHeal:      cfg.OnHeal,
 		mCWCaptures: cfg.Obs.Counter(obs.NameCWCaptures),
 	}
 	tab.SetRegistry(cfg.Obs)
-	tab.SetPool(cfg.Pool)
 	if !cfg.DisableECC {
 		tab.EnableECC()
 	}
@@ -176,16 +173,15 @@ func (s *codewordScheme) Audit() []region.Mismatch {
 	return s.AuditRange(0, s.arena.Size())
 }
 
-// AuditRange audits the regions intersecting [addr, addr+n), chunked
-// across the scheme's worker pool. Each worker takes the protection latch
-// exclusive region by region, exactly as the serial loop did.
+// AuditRange audits the regions intersecting [addr, addr+n), taking the
+// protection latch exclusive region by region.
 func (s *codewordScheme) AuditRange(addr mem.Addr, n int) []region.Mismatch {
 	first, last := s.tab.RegionRange(addr, n)
-	return auditRegions(s.pool, s.tab, first, last, func(r int) []region.Mismatch {
+	return auditRegions(s.tab, first, last, func(r int) (region.Mismatch, bool) {
 		l := s.prot.For(uint64(r))
 		l.Lock()
 		defer l.Unlock()
-		return s.tab.AuditRange(s.arena, s.tab.RegionStart(r), 1)
+		return s.tab.AuditRegion(s.arena, r)
 	})
 }
 

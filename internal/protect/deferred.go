@@ -31,7 +31,6 @@ type deferredScheme struct {
 	arena *mem.Arena
 	tab   *region.Table
 	prot  *latch.Striped //dbvet:latch protection
-	pool  *region.Pool
 
 	mu      sync.Mutex
 	pending []region.Delta
@@ -54,15 +53,13 @@ func newDeferredScheme(arena *mem.Arena, cfg Config) (*deferredScheme, error) {
 	s := &deferredScheme{
 		arena:          arena,
 		tab:            tab,
-		prot:           latch.NewStriped(min(cfg.LatchStripes, tab.NumRegions())),
-		pool:           cfg.Pool,
+		prot:           latch.NewStriped(min(latchStripes, tab.NumRegions())),
 		drainThreshold: 4096,
 		onHeal:         cfg.OnHeal,
 		mDrains:        cfg.Obs.Counter(obs.NameDeferredDrains),
 		gPending:       cfg.Obs.Gauge(obs.NameRegionDeferredQueue),
 	}
 	tab.SetRegistry(cfg.Obs)
-	tab.SetPool(cfg.Pool)
 	if !cfg.DisableECC {
 		tab.EnableECC()
 	}
@@ -156,22 +153,18 @@ func (s *deferredScheme) Audit() []region.Mismatch {
 	return s.AuditRange(0, s.arena.Size())
 }
 
-// AuditRange audits the regions intersecting [addr, addr+n), chunked
-// across the scheme's worker pool. Each worker preserves the serial
-// discipline per region: protection latch exclusive, drain the delta
-// queue, then verify — so a concurrently completed update of region r is
-// either applied by this worker's drain or blocked on r's latch until the
-// verification is done. Workers on other regions draining concurrently
-// only apply deltas sooner than the serial loop would have; XOR
-// commutativity makes the order irrelevant.
+// AuditRange audits the regions intersecting [addr, addr+n), region by
+// region: protection latch exclusive, drain the delta queue, then verify
+// — so a concurrently completed update of region r is either applied by
+// the drain or blocked on r's latch until the verification is done.
 func (s *deferredScheme) AuditRange(addr mem.Addr, n int) []region.Mismatch {
 	first, last := s.tab.RegionRange(addr, n)
-	return auditRegions(s.pool, s.tab, first, last, func(r int) []region.Mismatch {
+	return auditRegions(s.tab, first, last, func(r int) (region.Mismatch, bool) {
 		l := s.prot.For(uint64(r))
 		l.Lock()
 		defer l.Unlock()
 		s.Drain()
-		return s.tab.AuditRange(s.arena, s.tab.RegionStart(r), 1)
+		return s.tab.AuditRegion(s.arena, r)
 	})
 }
 

@@ -51,8 +51,8 @@ func (m chanMutex) unlock() { <-m }
 
 func newHWScheme(arena *mem.Arena, cfg Config) (*hwScheme, error) {
 	var prot mem.Protector
-	if cfg.ForceSimProtect || cfg.SimProtectCost > 0 {
-		prot = mem.NewSimProtector(arena.NumPages(), cfg.SimProtectCost)
+	if cfg.ForceSimProtect {
+		prot = mem.NewSimProtector(arena.NumPages(), 0)
 	} else {
 		p, err := mem.NewMprotectProtector(arena)
 		if err != nil {

@@ -25,7 +25,6 @@ type precheckScheme struct {
 	arena *mem.Arena
 	tab   *region.Table
 	prot  *latch.Striped //dbvet:latch protection
-	pool  *region.Pool
 
 	reg       *obs.Registry
 	mRegions  *obs.Counter // regions verified before reads (precheck hits)
@@ -44,8 +43,7 @@ func newPrecheckScheme(arena *mem.Arena, cfg Config) (*precheckScheme, error) {
 	s := &precheckScheme{
 		arena:     arena,
 		tab:       tab,
-		prot:      latch.NewStriped(min(cfg.LatchStripes, tab.NumRegions())),
-		pool:      cfg.Pool,
+		prot:      latch.NewStriped(min(latchStripes, tab.NumRegions())),
 		reg:       cfg.Obs,
 		mRegions:  cfg.Obs.Counter(obs.NamePrecheckRegions),
 		mFailures: cfg.Obs.Counter(obs.NamePrecheckFailures),
@@ -54,7 +52,6 @@ func newPrecheckScheme(arena *mem.Arena, cfg Config) (*precheckScheme, error) {
 		onHeal:    cfg.OnHeal,
 	}
 	tab.SetRegistry(cfg.Obs)
-	tab.SetPool(cfg.Pool)
 	if !cfg.DisableECC {
 		tab.EnableECC()
 	}
@@ -157,18 +154,18 @@ func (s *precheckScheme) Heal(r int) region.RepairResult {
 }
 
 // Audit performs the same check as a read, region by region, under
-// exclusive protection latches, chunked across the scheme's worker pool.
+// exclusive protection latches.
 func (s *precheckScheme) Audit() []region.Mismatch {
 	return s.AuditRange(0, s.arena.Size())
 }
 
 func (s *precheckScheme) AuditRange(addr mem.Addr, n int) []region.Mismatch {
 	first, last := s.tab.RegionRange(addr, n)
-	return auditRegions(s.pool, s.tab, first, last, func(r int) []region.Mismatch {
+	return auditRegions(s.tab, first, last, func(r int) (region.Mismatch, bool) {
 		l := s.prot.For(uint64(r))
 		l.Lock()
 		defer l.Unlock()
-		return s.tab.AuditRange(s.arena, s.tab.RegionStart(r), 1)
+		return s.tab.AuditRegion(s.arena, r)
 	})
 }
 

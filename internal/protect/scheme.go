@@ -88,14 +88,9 @@ type Config struct {
 	// paper evaluates 64, 512 and 8192 bytes for prechecking. Defaults:
 	// 64 for Precheck and CWReadLog, 512 for DataCW and ReadLog.
 	RegionSize int
-	// LatchStripes bounds the number of protection latches (default 1024).
-	LatchStripes int
-	// SimProtectCost, when nonzero with KindHW, uses a simulated protector
-	// with the given per-call cost instead of real mprotect. Used to model
-	// the paper's Table 1 platforms and in tests (a real protected-page
-	// write would segfault the process).
-	SimProtectCost time.Duration
-	// ForceSimProtect selects the simulated protector even with zero cost.
+	// ForceSimProtect (KindHW) uses a zero-cost simulated protector
+	// instead of real mprotect, for tests and platforms without it (a real
+	// protected-page write would segfault the process).
 	ForceSimProtect bool
 	// HWDeferReprotect (KindHW) defers reprotection of exposed pages to
 	// the end of the enclosing operation instead of the end of each
@@ -124,11 +119,10 @@ type Config struct {
 	// exposures). core.Open wires the database's registry in here. Nil
 	// leaves the scheme counting into private, unregistered metrics.
 	Obs *obs.Registry
-	// Pool is the worker pool for whole-arena scans (startup/recovery
-	// recompute and audit sweeps). core.Open wires the database's shared
-	// pool in here; nil selects the process-wide region.DefaultPool.
-	Pool *region.Pool
 }
+
+// latchStripes bounds the number of protection latches per scheme.
+const latchStripes = 1024
 
 // Defaulted returns the configuration with unset fields defaulted, as New
 // will see it. Recovery uses this to learn the effective region size
@@ -145,44 +139,20 @@ func (c Config) withDefaults() Config {
 			c.RegionSize = 512
 		}
 	}
-	if c.LatchStripes == 0 {
-		c.LatchStripes = 1024
-	}
-	if c.Pool == nil {
-		c.Pool = region.DefaultPool()
-	}
 	return c
 }
 
-// auditRegions is the shared parallel audit loop of the codeword schemes:
-// it checks regions first..last (clamped to the table), running check(r)
-// for each across the pool's workers, and returns the mismatches in
-// ascending region order. check carries the scheme's per-region latch
-// discipline — it must take the region's protection latch exactly as the
-// serial loop did, so chunking the range across workers changes only
-// which goroutine takes each latch, never what is held while a region is
-// compared with its codeword.
-func auditRegions(pool *region.Pool, tab *region.Table, first, last int, check func(r int) []region.Mismatch) []region.Mismatch {
-	if last >= tab.NumRegions() {
-		last = tab.NumRegions() - 1
-	}
-	if first > last {
-		return nil
-	}
-	minGrain := 1
-	if g := (64 << 10) / tab.RegionSize(); g > 1 {
-		minGrain = g
-	}
-	chunks := region.RunChunked(pool, last-first+1, minGrain, func(lo, hi int) []region.Mismatch {
-		var out []region.Mismatch
-		for r := first + lo; r < first+hi; r++ {
-			out = append(out, check(r)...)
-		}
-		return out
-	})
+// auditRegions is the shared audit loop of the codeword schemes: it
+// checks regions first..last (clamped to the table), running check(r) for
+// each, and returns the mismatches in ascending region order. check
+// carries the scheme's per-region latch discipline.
+func auditRegions(tab *region.Table, first, last int, check func(r int) (region.Mismatch, bool)) []region.Mismatch {
+	last = min(last, tab.NumRegions()-1)
 	var out []region.Mismatch
-	for _, c := range chunks {
-		out = append(out, c...)
+	for r := first; r <= last; r++ {
+		if m, bad := check(r); bad {
+			out = append(out, m)
+		}
 	}
 	return out
 }

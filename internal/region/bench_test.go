@@ -164,8 +164,7 @@ func BenchmarkApplyUpdateGeneric(b *testing.B) {
 	}
 }
 
-// BenchmarkRecomputeAll measures the full-arena recompute scan at varying
-// pool widths (workers=1 is the serial path).
+// BenchmarkRecomputeAll measures the full-arena recompute scan.
 func BenchmarkRecomputeAll(b *testing.B) {
 	const arenaSize = 1 << 24 // 16 MiB image
 	a, err := mem.NewArena(arenaSize, 4096, mem.WithHeapBacking())
@@ -175,24 +174,20 @@ func BenchmarkRecomputeAll(b *testing.B) {
 	defer a.Close()
 	rand.New(rand.NewSource(5)).Read(a.Bytes())
 	for _, size := range []int{512, 8192} {
-		for _, workers := range []int{1, 2, 4} {
-			tab, err := NewTable(arenaSize, size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tab.SetPool(NewPool(workers))
-			b.Run(fmt.Sprintf("size=%d/workers=%d", size, workers), func(b *testing.B) {
-				b.SetBytes(arenaSize)
-				for i := 0; i < b.N; i++ {
-					tab.RecomputeAll(a)
-				}
-			})
+		tab, err := NewTable(arenaSize, size)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.SetBytes(arenaSize)
+			for i := 0; i < b.N; i++ {
+				tab.RecomputeAll(a)
+			}
+		})
 	}
 }
 
-// BenchmarkAuditAll measures the full-arena audit scan at varying pool
-// widths (workers=1 is the serial path).
+// BenchmarkAuditAll measures the full-arena audit scan.
 func BenchmarkAuditAll(b *testing.B) {
 	const arenaSize = 1 << 24
 	a, err := mem.NewArena(arenaSize, 4096, mem.WithHeapBacking())
@@ -202,21 +197,18 @@ func BenchmarkAuditAll(b *testing.B) {
 	defer a.Close()
 	rand.New(rand.NewSource(6)).Read(a.Bytes())
 	for _, size := range []int{512, 8192} {
-		for _, workers := range []int{1, 2, 4} {
-			tab, err := NewTable(arenaSize, size)
-			if err != nil {
-				b.Fatal(err)
-			}
-			tab.SetPool(NewPool(workers))
-			tab.RecomputeAll(a)
-			b.Run(fmt.Sprintf("size=%d/workers=%d", size, workers), func(b *testing.B) {
-				b.SetBytes(arenaSize)
-				for i := 0; i < b.N; i++ {
-					if bad := tab.AuditAll(a); len(bad) != 0 {
-						b.Fatalf("clean image audited dirty: %v", bad[0])
-					}
-				}
-			})
+		tab, err := NewTable(arenaSize, size)
+		if err != nil {
+			b.Fatal(err)
 		}
+		tab.RecomputeAll(a)
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			b.SetBytes(arenaSize)
+			for i := 0; i < b.N; i++ {
+				if bad := tab.AuditAll(a); len(bad) != 0 {
+					b.Fatalf("clean image audited dirty: %v", bad[0])
+				}
+			}
+		})
 	}
 }

@@ -71,17 +71,14 @@ type Table struct {
 	numPlanes int
 	planes    []uint64
 	cwLatch   *latch.Striped //dbvet:latch codeword — the paper's "codeword latch"
-	// pool runs the table's whole-arena scans (RecomputeAll, AuditRange)
-	// across workers. A nil pool runs them on the calling goroutine.
-	pool *Pool
 
 	// Observability: fold and audit counters. Nil until SetRegistry;
 	// nil metric handles are safe no-ops.
 	mFolds        *obs.Counter
 	mFoldBytes    *obs.Counter
 	mAudited      *obs.Counter
-	mRecomputeBPS *obs.Histogram // per-worker-chunk recompute throughput, bytes/s
-	mAuditBPS     *obs.Histogram // per-worker-chunk audit throughput, bytes/s
+	mRecomputeBPS *obs.Histogram // per-scan recompute throughput, bytes/s
+	mAuditBPS     *obs.Histogram // per-scan audit throughput, bytes/s
 }
 
 // SetRegistry wires the table's fold/audit counters and codeword-latch
@@ -95,16 +92,9 @@ func (t *Table) SetRegistry(reg *obs.Registry) {
 	t.cwLatch.Instrument(reg, "region.cw", reg.Histogram(obs.NameRegionCWWaitNS), reg.Counter(obs.NameRegionCWContends))
 }
 
-// SetPool attaches the worker pool used by whole-arena scans. Must be set
-// before concurrent use; nil (the default) keeps the scans serial.
-func (t *Table) SetPool(p *Pool) { t.pool = p }
-
-// Pool reports the attached worker pool (nil when scans are serial).
-func (t *Table) Pool() *Pool { return t.pool }
-
 // noteThroughput starts a throughput sample of processing n bytes; the
-// returned func completes it, recording bytes/second into h. Workers call
-// it once per chunk, so the histogram holds per-worker-chunk throughput.
+// returned func completes it, recording bytes/second into h. Scans call
+// it once each, so the histogram holds per-scan throughput.
 func (t *Table) noteThroughput(h *obs.Histogram, n int) func() {
 	if h == nil || n <= 0 {
 		return func() {}
@@ -327,28 +317,24 @@ func (t *Table) recomputeRegion(a *mem.Arena, r int) {
 		t.Set(r, Compute(data))
 		return
 	}
-	fresh := make([]uint64, t.numPlanes)
-	cw := computeECC(data, fresh)
 	l := t.latchFor(r)
 	l.Lock()
-	t.cws[r] = cw
-	copy(t.planesLocked(r), fresh)
+	planes := t.planesLocked(r)
+	clear(planes)
+	t.cws[r] = computeECC(data, planes)
 	l.Unlock()
 }
 
 // RecomputeAll recomputes every codeword (and, with ECC, every locator
 // plane) from the arena contents. Used at startup and after recovery,
-// when the image is known to be good. When a pool has been attached with
-// SetPool the region range is chunked across its workers; the per-region
-// store still goes through the codeword latch.
+// when the image is known to be good. The per-region store goes through
+// the codeword latch.
 func (t *Table) RecomputeAll(a *mem.Arena) {
-	t.pool.Run(len(t.cws), poolMinGrainBytes/t.regionSize, func(lo, hi int) {
-		done := t.noteThroughput(t.mRecomputeBPS, (hi-lo)*t.regionSize)
-		for r := lo; r < hi; r++ {
-			t.recomputeRegion(a, r)
-		}
-		done()
-	})
+	done := t.noteThroughput(t.mRecomputeBPS, len(t.cws)*t.regionSize)
+	for r := range t.cws {
+		t.recomputeRegion(a, r)
+	}
+	done()
 }
 
 // VerifyRegion recomputes region r's codeword from the arena and compares
@@ -374,57 +360,34 @@ func (m Mismatch) String() string {
 		m.Region, m.Start, m.Len, uint64(m.Stored), uint64(m.Actual))
 }
 
-// auditRegion checks one region, appending to out on mismatch.
-func (t *Table) auditRegion(a *mem.Arena, r int, out []Mismatch) []Mismatch {
+// AuditRegion verifies region r alone and reports its mismatch, if any.
+// It records no throughput sample, so the schemes' audits, which check
+// one region per protection-latch hold, pay no clock reads per region.
+// The caller must hold whatever protection latch the active scheme
+// requires, as for VerifyRegion.
+func (t *Table) AuditRegion(a *mem.Arena, r int) (Mismatch, bool) {
+	t.mAudited.Inc()
 	start := t.RegionStart(r)
 	actual := Compute(a.Slice(start, t.regionSize))
 	stored := t.Codeword(r)
-	if actual != stored {
-		out = append(out, Mismatch{Region: r, Start: start, Len: t.regionSize, Stored: stored, Actual: actual})
-	}
-	return out
+	return Mismatch{Region: r, Start: start, Len: t.regionSize, Stored: stored, Actual: actual}, actual != stored
 }
 
 // AuditRange verifies every region intersecting [addr, addr+n) and returns
 // the mismatches found, in ascending region order. Latching discipline is
 // the caller's responsibility (the Data Codeword auditor takes protection
-// latches exclusive region by region; see protect.Scheme.Audit). When a
-// pool is attached the range is chunked across its workers; each worker
-// only reads the arena and takes the codeword latch per region, so the
-// caller's latching covers the parallel case exactly as the serial one.
+// latches exclusive region by region; see protect.Scheme.Audit).
 func (t *Table) AuditRange(a *mem.Arena, addr mem.Addr, n int) []Mismatch {
 	first, last := t.RegionRange(addr, n)
-	if last >= len(t.cws) {
-		last = len(t.cws) - 1
-	}
-	if first > last {
-		return nil
-	}
-	count := last - first + 1
-	t.mAudited.Add(uint64(count))
-	if !t.pool.parallel(count) {
-		var out []Mismatch
-		done := t.noteThroughput(t.mAuditBPS, count*t.regionSize)
-		for r := first; r <= last; r++ {
-			out = t.auditRegion(a, r, out)
-		}
-		done()
-		return out
-	}
-	// Chunked scan; per-chunk results keep deterministic ascending order.
-	chunks := RunChunked(t.pool, count, poolMinGrainBytes/t.regionSize, func(lo, hi int) []Mismatch {
-		done := t.noteThroughput(t.mAuditBPS, (hi-lo)*t.regionSize)
-		var out []Mismatch
-		for r := first + lo; r < first+hi; r++ {
-			out = t.auditRegion(a, r, out)
-		}
-		done()
-		return out
-	})
+	last = min(last, len(t.cws)-1)
 	var out []Mismatch
-	for _, c := range chunks {
-		out = append(out, c...)
+	done := t.noteThroughput(t.mAuditBPS, max(last-first+1, 0)*t.regionSize)
+	for r := first; r <= last; r++ {
+		if m, bad := t.AuditRegion(a, r); bad {
+			out = append(out, m)
+		}
 	}
+	done()
 	return out
 }
 

@@ -2,9 +2,12 @@ package region
 
 import (
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/latch"
 	"repro/internal/mem"
 )
 
@@ -192,6 +195,77 @@ func TestAuditDetectsWildWrite(t *testing.T) {
 	}
 }
 
+// TestRecomputeAndAuditParallelMatchSerial checks that region scans split
+// across goroutines over disjoint region ranges, as a caller may run them,
+// produce the same codewords as RecomputeAll and, concatenated in range
+// order, exactly the mismatches of AuditAll in ascending order.
+func TestRecomputeAndAuditParallelMatchSerial(t *testing.T) {
+	const arenaSize = 1 << 20
+	const workers = 4
+	a := newArena(t, arenaSize)
+	rand.New(rand.NewSource(11)).Read(a.Bytes())
+
+	serial, _ := NewTable(arenaSize, 512)
+	parallel, _ := NewTable(arenaSize, 512)
+	serial.RecomputeAll(a)
+	n := parallel.NumRegions()
+	chunk := (n + workers - 1) / workers
+	var wg sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			for r := lo; r < hi; r++ {
+				parallel.recomputeRegion(a, r)
+			}
+		}(lo, hi)
+	}
+	wg.Wait()
+	for r := 0; r < n; r++ {
+		if serial.Codeword(r) != parallel.Codeword(r) {
+			t.Fatalf("region %d: serial %016x parallel %016x",
+				r, uint64(serial.Codeword(r)), uint64(parallel.Codeword(r)))
+		}
+	}
+
+	// Corrupt a few regions; the split audit must report exactly the same
+	// mismatches in the same ascending order.
+	for _, off := range []int{100, 99_000, 512_001, arenaSize - 5} {
+		a.Bytes()[off] ^= 0x5a
+	}
+	sm := serial.AuditAll(a)
+	parts := make([][]Mismatch, workers)
+	for i := range parts {
+		lo := i * chunk
+		hi := min(lo+chunk, n)
+		if lo >= hi {
+			continue
+		}
+		wg.Add(1)
+		go func(i, lo, hi int) {
+			defer wg.Done()
+			parts[i] = parallel.AuditRange(a, parallel.RegionStart(lo), (hi-lo)*parallel.RegionSize())
+		}(i, lo, hi)
+	}
+	wg.Wait()
+	var pm []Mismatch
+	for _, p := range parts {
+		pm = append(pm, p...)
+	}
+	if len(sm) != len(pm) {
+		t.Fatalf("serial found %d mismatches, parallel %d", len(sm), len(pm))
+	}
+	for i := range sm {
+		if sm[i] != pm[i] {
+			t.Fatalf("mismatch %d differs: serial %v parallel %v", i, sm[i], pm[i])
+		}
+	}
+	if len(sm) != 4 {
+		t.Fatalf("expected 4 corrupt regions, audit found %d", len(sm))
+	}
+}
+
 func TestAuditRangeScopesToRegions(t *testing.T) {
 	const arenaSize = 8192
 	a := newArena(t, arenaSize)
@@ -324,5 +398,132 @@ func TestApplyUpdateCommutesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConcurrentFoldAuditNoTear runs prescribed folds, direct codeword
+// reads and audits concurrently, under the Data Codeword latch
+// discipline: writers hold each touched region's protection stripe
+// shared across the arena write and its ApplyUpdate, and auditors take
+// the stripe exclusive region by region. An audit then sees each region
+// either before or after a whole update, so any mismatch means a torn
+// codeword. Under -race this also proves every access to a region's
+// codeword word goes through the same stripe of the codeword latch
+// (Table.latchFor).
+func TestConcurrentFoldAuditNoTear(t *testing.T) {
+	const arenaSize = 1 << 18
+	const regionSize = 512
+	a := newArena(t, arenaSize)
+	rand.New(rand.NewSource(13)).Read(a.Bytes())
+	tab, err := NewTable(arenaSize, regionSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab.RecomputeAll(a)
+	// Fewer stripes than regions, so unrelated regions share stripes.
+	prot := latch.NewStriped(64)
+	audit := func(first, last int) []Mismatch {
+		var out []Mismatch
+		for r := first; r <= last; r++ {
+			l := prot.For(uint64(r))
+			l.Lock()
+			if m, bad := tab.AuditRegion(a, r); bad {
+				out = append(out, m)
+			}
+			l.Unlock()
+		}
+		return out
+	}
+
+	const writers = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	// Writers: each owns a disjoint slice of the arena and repeatedly
+	// applies an update and then its inverse, through the prescribed
+	// ApplyUpdate path, including region-straddling unaligned spans.
+	span := arenaSize / writers
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(100 + w)))
+			base := w * span
+			update := func(addr mem.Addr, n int, fill func([]byte)) error {
+				first, last := tab.RegionRange(addr, n)
+				g := prot.AcquireRange(uint64(first), uint64(last), false)
+				defer g.Release()
+				oldData := append([]byte(nil), a.Slice(addr, n)...)
+				fill(a.Slice(addr, n))
+				return tab.ApplyUpdate(addr, oldData, a.Slice(addr, n))
+			}
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				n := 1 + rng.Intn(3*regionSize/2)
+				addr := mem.Addr(base + rng.Intn(span-n))
+				var saved []byte
+				if err := update(addr, n, func(b []byte) {
+					saved = append(saved, b...)
+					rng.Read(b)
+				}); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := update(addr, n, func(b []byte) { copy(b, saved) }); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	// Auditors: full sweeps while the folds are in flight.
+	var sweeps atomic.Int64
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					if bad := audit(0, tab.NumRegions()-1); len(bad) != 0 {
+						t.Errorf("audit under exclusive latches saw a torn codeword: %v", bad[0])
+						return
+					}
+					sweeps.Add(1)
+				}
+			}
+		}()
+	}
+	// Direct codeword readers.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = tab.Codeword(i % tab.NumRegions())
+			}
+		}
+	}()
+	// Range audits until the auditors have swept the arena 20 times.
+	for iter := 0; sweeps.Load() < 20 && !t.Failed(); iter++ {
+		first := iter % tab.NumRegions()
+		if bad := audit(first, min(first+3, tab.NumRegions()-1)); len(bad) != 0 {
+			t.Errorf("range audit saw a torn codeword: %v", bad[0])
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+
+	if bad := tab.AuditAll(a); len(bad) != 0 {
+		t.Fatalf("codewords diverged after concurrent folds: %v", bad[0])
 	}
 }

@@ -44,13 +44,12 @@ type Config struct {
 	// Shards is the shard count K (default 1). Fixed for the life of the
 	// database: the routing hash is not consistent across K changes.
 	Shards int
-	// ArenaSize, PageSize, Protect, LockTimeout, Workers and FS configure
+	// ArenaSize, PageSize, Protect, LockTimeout and FS configure
 	// every shard's core.DB identically (ArenaSize is per shard).
 	ArenaSize   int
 	PageSize    int
 	Protect     protect.Config
 	LockTimeout time.Duration
-	Workers     int
 	FS          iofault.FS
 	// ValueSize is the maximum value length of the KV store (default 120
 	// bytes; records are fixed-size, values are length-prefixed inside).
@@ -222,7 +221,6 @@ func openUnit(cfg Config, i int) (*unit, *recovery.Report, error) {
 		PageSize:             cfg.PageSize,
 		Protect:              cfg.Protect,
 		LockTimeout:          cfg.LockTimeout,
-		Workers:              cfg.Workers,
 		FS:                   cfg.FS,
 		DisableLogCompaction: cfg.DisableLogCompaction,
 	}
